@@ -8,16 +8,23 @@
 //! ciphertext landing in a non-supervisor's response queue, or the debug
 //! tap answering a non-supervisor, is a leak no tracking mode may permit.
 //!
-//! The protected tape is compiled once per mode ([`CompiledSim`] is
-//! cheap to clone once compiled — the fleet runner relies on the same
-//! property), so a 500-input campaign pays for three compiles total.
+//! Runtime labels are shadow state that no value computation reads, so
+//! every tracking mode drives the device through the same values. The
+//! protected tape is therefore compiled once, as a [`CompiledSim`] with a
+//! conservative and a precise label plane
+//! ([`CompiledSim::with_both_planes`]), and each input is replayed once
+//! on a clone: one tape pass per cycle yields both tracked modes'
+//! violation streams. `Off` needs no pass of its own — its replay is the
+//! shared value outcome (responses, rejections, stalls, drain, leaks)
+//! with no violations, which is all untracked simulation records. A
+//! 500-input campaign pays for one compile and one replay per input.
 
 use std::collections::VecDeque;
 
 use accel::driver::{AccelDriver, Request};
 use accel::{master_key_encrypt, supervisor_label, user_label, MASTER_KEY_SLOT};
 use ifc_lattice::Label;
-use sim::{CompiledSim, RuntimeViolation, SimBackend, TrackMode};
+use sim::{CompiledSim, RuntimeViolation, TrackMode};
 
 use crate::program::{AttackOp, TenantProgram};
 
@@ -72,11 +79,11 @@ impl ReplayOutcome {
     }
 }
 
-/// Compiles the protected accelerator once per tracking mode and replays
-/// fuzz inputs against clones.
+/// Compiles the protected accelerator once, with a label plane for each
+/// tracked mode, and replays fuzz inputs against clones.
 #[derive(Debug)]
 pub struct ProtectedReplayer {
-    prototypes: Vec<(TrackMode, CompiledSim)>,
+    prototype: CompiledSim,
 }
 
 impl Default for ProtectedReplayer {
@@ -86,7 +93,8 @@ impl Default for ProtectedReplayer {
 }
 
 impl ProtectedReplayer {
-    /// Builds and compiles the protected design under every replay mode.
+    /// Builds and compiles the protected design with a conservative and a
+    /// precise label plane.
     ///
     /// # Panics
     ///
@@ -96,29 +104,44 @@ impl ProtectedReplayer {
     pub fn new() -> ProtectedReplayer {
         let net = accel::protected().lower().expect("protected design lowers");
         ProtectedReplayer {
-            prototypes: REPLAY_MODES
-                .iter()
-                .map(|&mode| {
-                    (
-                        mode,
-                        <CompiledSim as SimBackend>::from_netlist(net.clone(), mode),
-                    )
-                })
-                .collect(),
+            prototype: CompiledSim::with_both_planes(net),
         }
     }
 
-    /// Replays one input's tenant programs under every tracking mode.
+    /// Replays one input's tenant programs once and reports it under
+    /// every tracking mode.
     #[must_use]
     pub fn replay(&self, programs: &[TenantProgram]) -> ReplayOutcome {
-        ReplayOutcome {
-            modes: self
-                .prototypes
-                .iter()
-                .map(|(mode, proto)| replay_one(*mode, proto.clone(), programs))
-                .collect(),
-        }
+        let mut driver = AccelDriver::from_backend(self.prototype.clone());
+        let run = drive(&mut driver, programs);
+        let sim = driver.sim();
+        let modes = REPLAY_MODES
+            .iter()
+            .map(|&mode| ModeReplay {
+                mode,
+                leaks: run.leaks.clone(),
+                // `Off` tracks nothing; each tracked mode reads its plane.
+                violations: sim
+                    .label_planes()
+                    .iter()
+                    .position(|&m| m == mode)
+                    .map_or_else(Vec::new, |k| sim.plane_violations(k).to_vec()),
+                responses: driver.responses.len(),
+                rejections: driver.rejections.len(),
+                stalled_submits: run.stalled_submits,
+                drained: run.drained,
+            })
+            .collect();
+        ReplayOutcome { modes }
     }
+}
+
+/// What one replay observed through values alone, and so shares across
+/// every tracking mode.
+struct Drive {
+    leaks: Vec<String>,
+    stalled_submits: u32,
+    drained: bool,
 }
 
 struct Tenant<'p> {
@@ -130,8 +153,8 @@ struct Tenant<'p> {
     forbidden: Vec<[u8; 16]>,
 }
 
-fn replay_one(mode: TrackMode, sim: CompiledSim, programs: &[TenantProgram]) -> ModeReplay {
-    let mut driver: AccelDriver<CompiledSim> = AccelDriver::from_backend(sim);
+/// Drives the tenant programs round-robin through `driver`, then drains.
+fn drive(driver: &mut AccelDriver<CompiledSim>, programs: &[TenantProgram]) -> Drive {
     let mut tenants: Vec<Tenant<'_>> = programs
         .iter()
         .enumerate()
@@ -233,12 +256,8 @@ fn replay_one(mode: TrackMode, sim: CompiledSim, programs: &[TenantProgram]) -> 
         }
     }
 
-    ModeReplay {
-        mode,
+    Drive {
         leaks,
-        violations: driver.violations().to_vec(),
-        responses: driver.responses.len(),
-        rejections: driver.rejections.len(),
         stalled_submits,
         drained,
     }

@@ -19,6 +19,15 @@
 //! * **Compiled label tracking.** The executor is monomorphised over the
 //!   tracking mode: with [`TrackMode::Off`] the label code paths are
 //!   compiled out entirely, so untracked simulation pays zero label cost.
+//! * **Label planes.** Runtime labels are shadow state: no value
+//!   computation ever reads one. One value plane can therefore carry
+//!   several label planes, each propagated by its own mux rule, and
+//!   [`with_both_planes`](CompiledSim::with_both_planes) runs the
+//!   conservative and the precise plane in a single tape pass, where
+//!   two single-mode engines would each recompute the same values. Each
+//!   plane keeps its own slot labels, memory labels and capped violation
+//!   stream. A single-mode engine is the one-plane instance of the same
+//!   monomorphised dispatch loop; there is no second copy of it.
 //! * **No allocation in the hot path.** `tick`/`eval` touch only
 //!   preallocated arrays; the register update uses a preallocated
 //!   two-phase scratch buffer. (Recording a violation stores a
@@ -35,6 +44,7 @@
 //! enforce. The interpreter remains the reference oracle; this backend is
 //! the throughput engine.
 
+use std::marker::PhantomData;
 use std::sync::Arc;
 
 use hdl::{mask, Netlist, NodeId, Value};
@@ -42,46 +52,157 @@ use ifc_lattice::{Label, SecurityTag};
 
 use crate::backend::{self, RunEngine};
 use crate::opt::{self, OptConfig, OptStats};
-use crate::program::{push_violation, CompiledCheck, Op, Program};
+use crate::program::{push_violation, Op, Program};
 use crate::simulator::{AllowedLabel, DEFAULT_VIOLATION_CAP};
 use crate::violation::RuntimeViolation;
 use crate::TrackMode;
 
+/// The most label planes one engine carries.
+const MAX_PLANES: usize = 2;
+
+/// The label planes one instance of the dispatch loop carries. Loops
+/// over planes have a compile-time trip count and unroll, so the
+/// one-plane instances run exactly the single-mode work.
+trait Planes {
+    /// The tracking mode of each plane, in plane order.
+    const MODES: &'static [TrackMode];
+    /// Planes the loop propagates: none with tracking off, which
+    /// compiles every label path out.
+    const N: usize = if matches!(Self::MODES[0], TrackMode::Off) {
+        0
+    } else {
+        Self::MODES.len()
+    };
+
+    /// Whether plane `k`'s mux label follows only the selected arm.
+    #[inline(always)]
+    fn precise(k: usize) -> bool {
+        matches!(Self::MODES[k], TrackMode::Precise)
+    }
+}
+
+struct Untracked;
+struct ConservativeOnly;
+struct PreciseOnly;
+struct ConservativeAndPrecise;
+
+impl Planes for Untracked {
+    const MODES: &'static [TrackMode] = &[TrackMode::Off];
+}
+
+impl Planes for ConservativeOnly {
+    const MODES: &'static [TrackMode] = &[TrackMode::Conservative];
+}
+
+impl Planes for PreciseOnly {
+    const MODES: &'static [TrackMode] = &[TrackMode::Precise];
+}
+
+impl Planes for ConservativeAndPrecise {
+    const MODES: &'static [TrackMode] = &[TrackMode::Conservative, TrackMode::Precise];
+}
+
+/// Evaluates `$body` with `$P` naming the [`Planes`] instance of `$sim`.
+macro_rules! with_planes {
+    ($sim:expr, $P:ident => $body:expr) => {
+        match $sim.planes {
+            [TrackMode::Off] => {
+                type $P = Untracked;
+                $body
+            }
+            [TrackMode::Conservative] => {
+                type $P = ConservativeOnly;
+                $body
+            }
+            [TrackMode::Precise] => {
+                type $P = PreciseOnly;
+                $body
+            }
+            _ => {
+                type $P = ConservativeAndPrecise;
+                $body
+            }
+        }
+    };
+}
+
+/// One label plane's recorded violations.
+#[derive(Debug, Clone, Default)]
+struct PlaneLog {
+    violations: Vec<RuntimeViolation>,
+    /// Remaining room under the cap, re-derived by the shared run loop
+    /// (see [`backend::RunEngine`]) before each recording propagation.
+    room: usize,
+    truncated: bool,
+}
+
+impl PlaneLog {
+    fn push(&mut self, v: RuntimeViolation) {
+        push_violation(&mut self.violations, &mut self.room, &mut self.truncated, v);
+    }
+}
+
+/// Plane `k`'s label of slot `s`: labels are plane-interleaved.
+#[inline(always)]
+fn plane_label<P: Planes>(labels: &[Label], s: usize, k: usize) -> Label {
+    labels[s * P::N + k]
+}
+
+/// Copies operand `a`'s label on every plane.
+#[inline(always)]
+fn unary<P: Planes>(labels: &[Label], a: usize, out: &mut [Label; MAX_PLANES]) {
+    for (k, l) in out.iter_mut().enumerate().take(P::N) {
+        *l = plane_label::<P>(labels, a, k);
+    }
+}
+
+/// Joins operands `a` and `b`'s labels on every plane.
+#[inline(always)]
+fn binary<P: Planes>(labels: &[Label], a: usize, b: usize, out: &mut [Label; MAX_PLANES]) {
+    for (k, l) in out.iter_mut().enumerate().take(P::N) {
+        *l = plane_label::<P>(labels, a, k).join(plane_label::<P>(labels, b, k));
+    }
+}
+
+/// A downgrade gate's result label, or `None` when the nonmalleable rule
+/// refuses it.
+fn downgrade(op: Op, from: Label, to: Label, principal: Label) -> Option<Label> {
+    if op == Op::Declassify {
+        ifc_lattice::declassify(from, to, principal).ok()
+    } else {
+        ifc_lattice::endorse(from, to, principal).ok()
+    }
+}
+
 /// The runtime release gate over settled slots, against the precompiled
-/// check table. Shared between the recording propagation and the
-/// settled-state fast path in [`CompiledSim::tick`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_output_checks(
-    output_checks: &[CompiledCheck],
+/// check table, on every plane. The allowed label depends on values
+/// only, so it is resolved once per check. Shared between the recording
+/// propagation and the settled-state fast path in [`CompiledSim::tick`].
+fn run_output_checks<P: Planes>(
+    program: &Program,
     values: &[Value],
     labels: &[Label],
-    slot_of: &[u32],
     cycle: u64,
-    violations: &mut Vec<RuntimeViolation>,
-    room: &mut usize,
-    truncated: &mut bool,
+    logs: &mut [PlaneLog],
 ) {
-    for check in output_checks {
+    for check in &program.output_checks {
         let allowed = match &check.allowed {
             AllowedLabel::Const(l) => *l,
             AllowedLabel::Dynamic(expr) => {
-                let mut resolve = |sig: NodeId| values[slot_of[sig.index()] as usize];
+                let mut resolve = |sig: NodeId| values[program.slot_of[sig.index()] as usize];
                 expr.eval(&mut resolve)
             }
         };
-        let label = labels[check.slot as usize];
-        if !label.flows_to(allowed) {
-            push_violation(
-                violations,
-                room,
-                truncated,
-                RuntimeViolation::OutputLeak {
+        for (k, log) in logs.iter_mut().enumerate().take(P::N) {
+            let label = plane_label::<P>(labels, check.slot as usize, k);
+            if !label.flows_to(allowed) {
+                log.push(RuntimeViolation::OutputLeak {
                     cycle,
                     port: check.port.clone(),
                     label,
                     allowed,
-                },
-            );
+                });
+            }
         }
     }
 }
@@ -95,31 +216,32 @@ pub(crate) fn run_output_checks(
 #[derive(Debug, Clone)]
 pub struct CompiledSim {
     program: Arc<Program>,
+    /// The tracking mode of each label plane, in plane order.
+    planes: &'static [TrackMode],
     /// Per-slot settled values. Register and input state lives here
     /// directly — there is no separate state array to copy from.
     values: Vec<Value>,
-    /// Per-slot runtime labels, parallel to `values`.
+    /// Per-slot runtime labels, parallel to `values` and
+    /// plane-interleaved: plane `k` of slot `s` is at `s * planes + k`.
     labels: Vec<Label>,
     mem_state: Vec<Vec<Value>>,
+    /// Per-cell runtime labels, plane-interleaved like `labels`.
     mem_labels: Vec<Vec<Label>>,
     /// Two-phase clock-edge scratch (preallocated; see [`tick`](Self::tick)).
     reg_scratch: Vec<Value>,
     reg_label_scratch: Vec<Label>,
     clean: bool,
     cycle: u64,
-    violations: Vec<RuntimeViolation>,
+    /// One violation stream per label plane; the cap applies to each.
+    logs: Vec<PlaneLog>,
     violation_cap: usize,
-    /// Remaining violation room, re-derived by the shared run loop (see
-    /// [`backend::RunEngine`]) before each recording propagation.
-    room: usize,
-    violations_truncated: bool,
 }
 
 /// [`RunEngine`] adapter binding the shared settled-state run loop to a
-/// `CompiledSim` monomorphised over one tracking mode.
-struct CompiledEngine<'a, const TRACK: bool, const PRECISE: bool>(&'a mut CompiledSim);
+/// `CompiledSim` monomorphised over its label planes.
+struct CompiledEngine<'a, P: Planes>(&'a mut CompiledSim, PhantomData<P>);
 
-impl<const TRACK: bool, const PRECISE: bool> RunEngine for CompiledEngine<'_, TRACK, PRECISE> {
+impl<P: Planes> RunEngine for CompiledEngine<'_, P> {
     fn is_clean(&self) -> bool {
         self.0.clean
     }
@@ -129,21 +251,20 @@ impl<const TRACK: bool, const PRECISE: bool> RunEngine for CompiledEngine<'_, TR
     }
 
     fn refresh_room(&mut self) {
-        self.0.room = self.0.violation_room();
+        self.0.refresh_room();
     }
 
     fn settled_scan(&mut self) {
-        self.0.record_settled_violations();
+        self.0.refresh_room();
+        self.0.record_settled_violations::<P>();
     }
 
     fn exec_record(&mut self) {
-        let mut room = self.0.room;
-        self.0.exec::<TRACK, PRECISE>(true, &mut room);
-        self.0.room = room;
+        self.0.exec::<P>(true);
     }
 
     fn edge(&mut self) {
-        self.0.clock_edge::<TRACK>();
+        self.0.clock_edge::<P>();
     }
 }
 
@@ -167,29 +288,52 @@ impl CompiledSim {
     pub fn with_tracking_opt(net: Netlist, mode: TrackMode, config: &OptConfig) -> CompiledSim {
         let mut program = Program::compile(net, mode);
         opt::optimize(&mut program, config);
-        CompiledSim::from_program(Arc::new(program))
+        let planes = match mode {
+            TrackMode::Off => Untracked::MODES,
+            TrackMode::Conservative => ConservativeOnly::MODES,
+            TrackMode::Precise => PreciseOnly::MODES,
+        };
+        CompiledSim::from_program(Arc::new(program), planes)
+    }
+
+    /// Compiles a netlist, with no optimizer passes, into one engine that
+    /// carries two label planes over one value plane: conservative
+    /// (plane 0) and precise (plane 1). One tape pass per cycle does the
+    /// work of a conservative and a precise engine fed the same stimulus;
+    /// each plane's labels and violations equal that engine's, and the
+    /// values equal those of every tracking mode, `Off` included.
+    ///
+    /// Plane 0 is what the single-plane accessors report
+    /// ([`mode`](Self::mode), [`peek_label`](Self::peek_label),
+    /// [`violations`](Self::violations), and the
+    /// [`SimBackend`](crate::SimBackend) view); the `plane_*` accessors
+    /// reach either plane. Label writes apply to both planes.
+    #[must_use]
+    pub fn with_both_planes(net: Netlist) -> CompiledSim {
+        let program = Program::compile(net, TrackMode::Conservative);
+        CompiledSim::from_program(Arc::new(program), ConservativeAndPrecise::MODES)
     }
 
     /// Instantiates one lane of execution state over a shared program.
-    pub(crate) fn from_program(program: Arc<Program>) -> CompiledSim {
+    fn from_program(program: Arc<Program>, planes: &'static [TrackMode]) -> CompiledSim {
+        let stride = planes.len();
         let reg_count = program.regs.len();
         CompiledSim {
             values: program.init_values.clone(),
-            labels: program.init_labels(),
+            labels: vec![Label::PUBLIC_TRUSTED; program.num_slots * stride],
             mem_state: program.mem_init.clone(),
             mem_labels: program
                 .mem_init
                 .iter()
-                .map(|cells| vec![Label::PUBLIC_TRUSTED; cells.len()])
+                .map(|cells| vec![Label::PUBLIC_TRUSTED; cells.len() * stride])
                 .collect(),
             reg_scratch: vec![0; reg_count],
-            reg_label_scratch: vec![Label::PUBLIC_TRUSTED; reg_count],
+            reg_label_scratch: vec![Label::PUBLIC_TRUSTED; reg_count * stride],
             clean: false,
             cycle: 0,
-            violations: Vec::new(),
+            logs: vec![PlaneLog::default(); stride],
             violation_cap: DEFAULT_VIOLATION_CAP,
-            room: 0,
-            violations_truncated: false,
+            planes,
             program,
         }
     }
@@ -200,10 +344,19 @@ impl CompiledSim {
         &self.program.net
     }
 
-    /// The tracking mode this backend was compiled for.
+    /// The tracking mode this backend was compiled for (plane 0's mode
+    /// on a [`with_both_planes`](Self::with_both_planes) engine).
     #[must_use]
     pub fn mode(&self) -> TrackMode {
-        self.program.mode
+        self.planes[0]
+    }
+
+    /// The tracking mode of each label plane, in plane order: one entry
+    /// for a single-mode engine, `[Conservative, Precise]` for a
+    /// [`with_both_planes`](Self::with_both_planes) engine.
+    #[must_use]
+    pub fn label_planes(&self) -> &'static [TrackMode] {
+        self.planes
     }
 
     /// The current cycle count (number of completed [`tick`](Self::tick)s).
@@ -212,20 +365,41 @@ impl CompiledSim {
         self.cycle
     }
 
-    /// All violations the tracking logic has raised so far.
+    /// All violations the tracking logic has raised so far (plane 0).
     #[must_use]
     pub fn violations(&self) -> &[RuntimeViolation] {
-        &self.violations
+        self.plane_violations(0)
     }
 
-    /// Whether violations were dropped at the cap (see
+    /// All violations one label plane has raised so far.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `plane` is out of range (see
+    /// [`label_planes`](Self::label_planes)).
+    #[must_use]
+    pub fn plane_violations(&self, plane: usize) -> &[RuntimeViolation] {
+        &self.logs[plane].violations
+    }
+
+    /// Whether violations were dropped at the cap (plane 0; see
     /// [`set_violation_cap`](Self::set_violation_cap)).
     #[must_use]
     pub fn violations_truncated(&self) -> bool {
-        self.violations_truncated
+        self.plane_violations_truncated(0)
     }
 
-    /// Bounds the recorded violation stream, mirroring
+    /// Whether one label plane's violations were dropped at the cap.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `plane` is out of range.
+    #[must_use]
+    pub fn plane_violations_truncated(&self, plane: usize) -> bool {
+        self.logs[plane].truncated
+    }
+
+    /// Bounds the recorded violation stream of every plane, mirroring
     /// [`Simulator::set_violation_cap`](crate::Simulator::set_violation_cap).
     pub fn set_violation_cap(&mut self, cap: usize) {
         self.violation_cap = cap;
@@ -302,12 +476,14 @@ impl CompiledSim {
     }
 
     /// Sets the runtime label accompanying an input's data (defaults to
-    /// `(P,T)`). A no-op with tracking off, matching the interpreter
-    /// (whose labels stay at their initial public-trusted state).
+    /// `(P,T)`) on every plane. A no-op with tracking off, matching the
+    /// interpreter (whose labels stay at their initial public-trusted
+    /// state).
     pub fn set_label(&mut self, name: &str, label: Label) {
         let id = self.program.resolve_input(name);
         if self.mode() != TrackMode::Off {
-            self.labels[self.program.slot_of[id.index()] as usize] = label;
+            let at = self.label_index(id, 0);
+            self.labels[at..at + self.planes.len()].fill(label);
         }
         self.clean = false;
     }
@@ -319,15 +495,13 @@ impl CompiledSim {
     /// Panics if no port or named node matches.
     pub fn peek(&mut self, name: &str) -> Value {
         let id = self.program.lookup(name);
-        self.eval();
-        self.values[self.program.slot_of[id.index()] as usize]
+        self.peek_node(id)
     }
 
-    /// Reads a signal's settled runtime label.
+    /// Reads a signal's settled runtime label (plane 0).
     pub fn peek_label(&mut self, name: &str) -> Label {
         let id = self.program.lookup(name);
-        self.eval();
-        self.labels[self.program.slot_of[id.index()] as usize]
+        self.peek_node_label(id)
     }
 
     /// Reads a settled value by node id.
@@ -336,10 +510,19 @@ impl CompiledSim {
         self.values[self.program.slot_of[id.index()] as usize]
     }
 
-    /// Reads a settled runtime label by node id.
+    /// Reads a settled runtime label by node id (plane 0).
     pub fn peek_node_label(&mut self, id: NodeId) -> Label {
+        self.peek_node_plane_label(0, id)
+    }
+
+    /// Reads one label plane's settled runtime label by node id.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `plane` is out of range.
+    pub fn peek_node_plane_label(&mut self, plane: usize, id: NodeId) -> Label {
         self.eval();
-        self.labels[self.program.slot_of[id.index()] as usize]
+        self.labels[self.label_index(id, plane)]
     }
 
     /// Reads a memory cell directly (for test assertions).
@@ -348,10 +531,21 @@ impl CompiledSim {
         self.mem_state[mem][addr]
     }
 
-    /// Reads a memory cell's runtime label directly.
+    /// Reads a memory cell's runtime label directly (plane 0).
     #[must_use]
     pub fn mem_cell_label(&self, mem: usize, addr: usize) -> Label {
-        self.mem_labels[mem][addr]
+        self.mem_cell_plane_label(0, mem, addr)
+    }
+
+    /// Reads one label plane's runtime label of a memory cell.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `plane`, `mem` or `addr` is out of range.
+    #[must_use]
+    pub fn mem_cell_plane_label(&self, plane: usize, mem: usize, addr: usize) -> Label {
+        assert!(plane < self.planes.len(), "no label plane {plane}");
+        self.mem_labels[mem][addr * self.planes.len() + plane]
     }
 
     /// Finds a memory's index by its declared name.
@@ -360,14 +554,16 @@ impl CompiledSim {
         self.program.net.mems.iter().position(|m| m.name == name)
     }
 
-    /// Sets a memory cell's runtime label directly (provisioned secrets;
-    /// see [`Simulator::set_mem_cell_label`](crate::Simulator::set_mem_cell_label)).
+    /// Sets a memory cell's runtime label directly on every plane
+    /// (provisioned secrets; see
+    /// [`Simulator::set_mem_cell_label`](crate::Simulator::set_mem_cell_label)).
     ///
     /// # Panics
     ///
     /// Panics if `mem` or `addr` is out of range.
     pub fn set_mem_cell_label(&mut self, mem: usize, addr: usize, label: Label) {
-        self.mem_labels[mem][addr] = label;
+        let stride = self.planes.len();
+        self.mem_labels[mem][addr * stride..(addr + 1) * stride].fill(label);
         self.clean = false;
     }
 
@@ -376,7 +572,7 @@ impl CompiledSim {
         if self.clean {
             return;
         }
-        self.propagate(false);
+        with_planes!(self, P => self.exec::<P>(false));
         self.clean = true;
     }
 
@@ -391,41 +587,37 @@ impl CompiledSim {
         // common shape under a transaction driver, which reads the
         // output handshake (forcing an eval) in the same cycle it then
         // clocks.
-        match self.mode() {
-            TrackMode::Off => backend::tick_engine(&mut CompiledEngine::<false, false>(self)),
-            TrackMode::Conservative => {
-                backend::tick_engine(&mut CompiledEngine::<true, false>(self));
-            }
-            TrackMode::Precise => backend::tick_engine(&mut CompiledEngine::<true, true>(self)),
-        }
+        with_planes!(self, P => backend::tick_engine(&mut CompiledEngine::<P>(self, PhantomData)));
     }
 
     /// Runs `n` clock cycles with the current inputs.
     ///
     /// Semantically `n` repeated [`tick`](Self::tick)s, but the loop is
-    /// monomorphised once per tracking mode, the settled-state check is
+    /// monomorphised once per label-plane set, the settled-state check is
     /// hoisted (only the first iteration can be settled), and the
     /// violation cap is re-derived once per run instead of per tick
     /// (the shared `backend::run_engine` loop).
     pub fn run(&mut self, n: u64) {
-        match self.mode() {
-            TrackMode::Off => backend::run_engine(&mut CompiledEngine::<false, false>(self), n),
-            TrackMode::Conservative => {
-                backend::run_engine(&mut CompiledEngine::<true, false>(self), n);
-            }
-            TrackMode::Precise => backend::run_engine(&mut CompiledEngine::<true, true>(self), n),
-        }
+        with_planes!(self, P => backend::run_engine(&mut CompiledEngine::<P>(self, PhantomData), n));
     }
 
-    /// Remaining space in the recorded violation stream.
-    fn violation_room(&self) -> usize {
-        self.violation_cap.saturating_sub(self.violations.len())
+    /// Index of plane `plane`'s label of node `id` in `labels`.
+    fn label_index(&self, id: NodeId, plane: usize) -> usize {
+        assert!(plane < self.planes.len(), "no label plane {plane}");
+        self.program.slot_of[id.index()] as usize * self.planes.len() + plane
+    }
+
+    /// Re-derives every plane's remaining violation room from the cap.
+    fn refresh_room(&mut self) {
+        for log in &mut self.logs {
+            log.room = self.violation_cap.saturating_sub(log.violations.len());
+        }
     }
 
     /// The clock edge: registers and memory write ports observe settled
     /// pre-edge state via a two-phase snapshot, then the cycle counter
     /// advances.
-    fn clock_edge<const TRACK: bool>(&mut self) {
+    fn clock_edge<P: Planes>(&mut self) {
         let CompiledSim {
             program,
             values,
@@ -445,9 +637,11 @@ impl CompiledSim {
         for (i, r) in program.regs.iter().enumerate() {
             reg_scratch[i] = values[r.src as usize] & r.mask;
         }
-        if TRACK {
+        if P::N > 0 {
             for (i, r) in program.regs.iter().enumerate() {
-                reg_label_scratch[i] = labels[r.src as usize];
+                for k in 0..P::N {
+                    reg_label_scratch[i * P::N + k] = plane_label::<P>(labels, r.src as usize, k);
+                }
             }
         }
         // Memory write ports next, in statement order — they too must
@@ -462,11 +656,11 @@ impl CompiledSim {
                     None => (values[wp.addr as usize] as usize) % depth,
                 };
                 mem_state[mem][addr] = values[wp.data as usize];
-                if TRACK {
-                    let label = labels[wp.data as usize]
-                        .join(labels[wp.addr as usize])
-                        .join(labels[wp.en as usize]);
-                    mem_labels[mem][addr] = label;
+                for k in 0..P::N {
+                    let label = plane_label::<P>(labels, wp.data as usize, k)
+                        .join(plane_label::<P>(labels, wp.addr as usize, k))
+                        .join(plane_label::<P>(labels, wp.en as usize, k));
+                    mem_labels[mem][addr * P::N + k] = label;
                 }
             }
         }
@@ -474,9 +668,11 @@ impl CompiledSim {
         for (i, r) in program.regs.iter().enumerate() {
             values[r.dst as usize] = reg_scratch[i];
         }
-        if TRACK {
+        if P::N > 0 {
             for (i, r) in program.regs.iter().enumerate() {
-                labels[r.dst as usize] = reg_label_scratch[i];
+                for k in 0..P::N {
+                    labels[r.dst as usize * P::N + k] = reg_label_scratch[i * P::N + k];
+                }
             }
         }
         *cycle += 1;
@@ -487,83 +683,55 @@ impl CompiledSim {
     /// each downgrade gate's accept/reject is recomputed from its settled
     /// operands (in tape order, matching the recording order of a full
     /// pass), then the output release checks run. Only valid when `clean`.
-    fn record_settled_violations(&mut self) {
-        if self.mode() == TrackMode::Off {
+    fn record_settled_violations<P: Planes>(&mut self) {
+        if P::N == 0 {
             return;
         }
-        let mut room = self.violation_room();
         let CompiledSim {
             program,
             values,
             labels,
-            violations,
-            violations_truncated,
+            logs,
             cycle,
             ..
         } = self;
         let tape = &program.tape;
         for &i in &program.downgrades {
             let i = i as usize;
-            let from = labels[tape.a[i] as usize];
             let to = Label::from(SecurityTag::from_bits(tape.aux[i] as u8));
-            let p = Label::from(SecurityTag::from_bits(values[tape.b[i] as usize] as u8));
-            let rejected = match tape.ops[i] {
-                Op::Declassify => ifc_lattice::declassify(from, to, p).is_err(),
-                _ => ifc_lattice::endorse(from, to, p).is_err(),
-            };
-            if rejected {
-                push_violation(
-                    violations,
-                    &mut room,
-                    violations_truncated,
-                    RuntimeViolation::DowngradeRejected {
+            let principal = Label::from(SecurityTag::from_bits(values[tape.b[i] as usize] as u8));
+            for (k, log) in logs.iter_mut().enumerate().take(P::N) {
+                let from = plane_label::<P>(labels, tape.a[i] as usize, k);
+                if downgrade(tape.ops[i], from, to, principal).is_none() {
+                    log.push(RuntimeViolation::DowngradeRejected {
                         cycle: *cycle,
                         node: NodeId::from_raw(tape.c[i]),
                         from,
                         to,
-                        principal: p,
-                    },
-                );
+                        principal,
+                    });
+                }
             }
         }
-        run_output_checks(
-            &program.output_checks,
-            values,
-            labels,
-            &program.slot_of,
-            *cycle,
-            violations,
-            &mut room,
-            violations_truncated,
-        );
+        run_output_checks::<P>(program, values, labels, *cycle, logs);
     }
 
-    /// Dispatches to the executor monomorphised for this tracking mode.
-    fn propagate(&mut self, record: bool) {
-        let mut room = self.violation_room();
-        match self.mode() {
-            TrackMode::Off => self.exec::<false, false>(record, &mut room),
-            TrackMode::Conservative => self.exec::<true, false>(record, &mut room),
-            TrackMode::Precise => self.exec::<true, true>(record, &mut room),
-        }
-    }
-
-    /// The dispatch loop. `TRACK` compiles label propagation in or out;
-    /// `PRECISE` selects the mux label rule. Violations are recorded only
-    /// when `record` (i.e. from [`tick`](Self::tick), never from
-    /// [`eval`](Self::eval)), matching the interpreter.
+    /// The dispatch loop, one instance per label-plane set `P`: with no
+    /// planes the label code compiles out, and each plane applies its own
+    /// mux rule. Violations are recorded only when `record` (i.e. from
+    /// [`tick`](Self::tick), never from [`eval`](Self::eval)), matching
+    /// the interpreter.
     #[allow(clippy::too_many_lines)]
-    fn exec<const TRACK: bool, const PRECISE: bool>(&mut self, record: bool, room: &mut usize) {
+    fn exec<P: Planes>(&mut self, record: bool) {
         // Disjoint field borrows: the program is read-only while slots,
-        // memories, and the violation stream are written.
+        // memories, and the violation streams are written.
         let CompiledSim {
             program,
             values,
             labels,
             mem_state,
             mem_labels,
-            violations,
-            violations_truncated,
+            logs,
             cycle,
             ..
         } = self;
@@ -582,106 +750,74 @@ impl CompiledSim {
         for i in 0..n {
             let a = col_a[i] as usize;
             let b = col_b[i] as usize;
-            let mut label = Label::PUBLIC_TRUSTED;
+            let mut label = [Label::PUBLIC_TRUSTED; MAX_PLANES];
             let value = match ops[i] {
                 Op::Not => {
-                    if TRACK {
-                        label = labels[a];
-                    }
+                    unary::<P>(labels, a, &mut label);
                     !values[a]
                 }
                 Op::ReduceOr => {
-                    if TRACK {
-                        label = labels[a];
-                    }
+                    unary::<P>(labels, a, &mut label);
                     Value::from(values[a] != 0)
                 }
                 Op::ReduceAnd => {
-                    if TRACK {
-                        label = labels[a];
-                    }
+                    unary::<P>(labels, a, &mut label);
                     Value::from(values[a] == col_aux[i])
                 }
                 Op::ReduceXor => {
-                    if TRACK {
-                        label = labels[a];
-                    }
+                    unary::<P>(labels, a, &mut label);
                     Value::from(values[a].count_ones() % 2 == 1)
                 }
                 Op::And => {
-                    if TRACK {
-                        label = labels[a].join(labels[b]);
-                    }
+                    binary::<P>(labels, a, b, &mut label);
                     values[a] & values[b]
                 }
                 Op::Or => {
-                    if TRACK {
-                        label = labels[a].join(labels[b]);
-                    }
+                    binary::<P>(labels, a, b, &mut label);
                     values[a] | values[b]
                 }
                 Op::Xor => {
-                    if TRACK {
-                        label = labels[a].join(labels[b]);
-                    }
+                    binary::<P>(labels, a, b, &mut label);
                     values[a] ^ values[b]
                 }
                 Op::Add => {
-                    if TRACK {
-                        label = labels[a].join(labels[b]);
-                    }
+                    binary::<P>(labels, a, b, &mut label);
                     values[a].wrapping_add(values[b])
                 }
                 Op::Sub => {
-                    if TRACK {
-                        label = labels[a].join(labels[b]);
-                    }
+                    binary::<P>(labels, a, b, &mut label);
                     values[a].wrapping_sub(values[b])
                 }
                 Op::Eq => {
-                    if TRACK {
-                        label = labels[a].join(labels[b]);
-                    }
+                    binary::<P>(labels, a, b, &mut label);
                     Value::from(values[a] == values[b])
                 }
                 Op::Ne => {
-                    if TRACK {
-                        label = labels[a].join(labels[b]);
-                    }
+                    binary::<P>(labels, a, b, &mut label);
                     Value::from(values[a] != values[b])
                 }
                 Op::Lt => {
-                    if TRACK {
-                        label = labels[a].join(labels[b]);
-                    }
+                    binary::<P>(labels, a, b, &mut label);
                     Value::from(values[a] < values[b])
                 }
                 Op::Ge => {
-                    if TRACK {
-                        label = labels[a].join(labels[b]);
-                    }
+                    binary::<P>(labels, a, b, &mut label);
                     Value::from(values[a] >= values[b])
                 }
                 Op::TagLeq => {
-                    if TRACK {
-                        label = labels[a].join(labels[b]);
-                    }
+                    binary::<P>(labels, a, b, &mut label);
                     let la = Label::from(SecurityTag::from_bits(values[a] as u8));
                     let lb = Label::from(SecurityTag::from_bits(values[b] as u8));
                     Value::from(la.flows_to(lb))
                 }
                 Op::TagJoin => {
-                    if TRACK {
-                        label = labels[a].join(labels[b]);
-                    }
+                    binary::<P>(labels, a, b, &mut label);
                     let la = Label::from(SecurityTag::from_bits(values[a] as u8));
                     let lb = Label::from(SecurityTag::from_bits(values[b] as u8));
                     Value::from(SecurityTag::from(la.join(lb)).bits())
                 }
                 Op::TagMeet => {
-                    if TRACK {
-                        label = labels[a].join(labels[b]);
-                    }
+                    binary::<P>(labels, a, b, &mut label);
                     let la = Label::from(SecurityTag::from_bits(values[a] as u8));
                     let lb = Label::from(SecurityTag::from_bits(values[b] as u8));
                     Value::from(SecurityTag::from(la.meet(lb)).bits())
@@ -689,12 +825,15 @@ impl CompiledSim {
                 Op::Mux => {
                     let c = col_c[i] as usize;
                     let sel = values[a] & 1;
-                    if TRACK {
-                        label = if PRECISE {
-                            let arm = if sel == 1 { labels[b] } else { labels[c] };
-                            labels[a].join(arm)
+                    for (k, l) in label.iter_mut().enumerate().take(P::N) {
+                        let l_sel = plane_label::<P>(labels, a, k);
+                        *l = if P::precise(k) {
+                            let arm = if sel == 1 { b } else { c };
+                            l_sel.join(plane_label::<P>(labels, arm, k))
                         } else {
-                            labels[a].join(labels[b]).join(labels[c])
+                            l_sel
+                                .join(plane_label::<P>(labels, b, k))
+                                .join(plane_label::<P>(labels, c, k))
                         };
                     }
                     if sel == 1 {
@@ -704,15 +843,11 @@ impl CompiledSim {
                     }
                 }
                 Op::Slice => {
-                    if TRACK {
-                        label = labels[a];
-                    }
+                    unary::<P>(labels, a, &mut label);
                     values[a] >> b
                 }
                 Op::Cat => {
-                    if TRACK {
-                        label = labels[a].join(labels[b]);
-                    }
+                    binary::<P>(labels, a, b, &mut label);
                     (values[a] << col_c[i]) | values[b]
                 }
                 Op::MemRead => {
@@ -721,66 +856,46 @@ impl CompiledSim {
                         Some(amask) => (values[a] as usize) & amask,
                         None => (values[a] as usize) % depth,
                     };
-                    if TRACK {
-                        label = mem_labels[b][addr].join(labels[a]);
+                    for (k, l) in label.iter_mut().enumerate().take(P::N) {
+                        *l = mem_labels[b][addr * P::N + k].join(plane_label::<P>(labels, a, k));
                     }
                     mem_state[b][addr]
                 }
                 Op::Declassify | Op::Endorse => {
-                    if TRACK {
-                        let from = labels[a];
+                    if P::N > 0 {
                         let to = Label::from(SecurityTag::from_bits(col_aux[i] as u8));
-                        let p = Label::from(SecurityTag::from_bits(values[b] as u8));
-                        let downgraded = if ops[i] == Op::Declassify {
-                            ifc_lattice::declassify(from, to, p)
-                        } else {
-                            ifc_lattice::endorse(from, to, p)
-                        };
-                        label = match downgraded {
-                            Ok(l) => l,
-                            Err(_) => {
+                        let principal = Label::from(SecurityTag::from_bits(values[b] as u8));
+                        for (k, l) in label.iter_mut().enumerate().take(P::N) {
+                            let from = plane_label::<P>(labels, a, k);
+                            // A refused downgrade keeps the restrictive
+                            // label, same as the interpreter.
+                            *l = downgrade(ops[i], from, to, principal).unwrap_or_else(|| {
                                 if record {
-                                    push_violation(
-                                        violations,
-                                        room,
-                                        violations_truncated,
-                                        RuntimeViolation::DowngradeRejected {
-                                            cycle: *cycle,
-                                            node: NodeId::from_raw(col_c[i]),
-                                            from,
-                                            to,
-                                            principal: p,
-                                        },
-                                    );
+                                    logs[k].push(RuntimeViolation::DowngradeRejected {
+                                        cycle: *cycle,
+                                        node: NodeId::from_raw(col_c[i]),
+                                        from,
+                                        to,
+                                        principal,
+                                    });
                                 }
-                                // Refused downgrade: keep the restrictive
-                                // label, same as the interpreter.
                                 from
-                            }
-                        };
+                            });
+                        }
                     }
                     values[a]
                 }
             };
             let dst = col_dst[i] as usize;
             values[dst] = value & col_mask[i];
-            if TRACK {
-                labels[dst] = label;
+            for (k, &l) in label.iter().enumerate().take(P::N) {
+                labels[dst * P::N + k] = l;
             }
         }
 
         // The runtime release gate, against the precompiled check table.
-        if record && TRACK {
-            run_output_checks(
-                &program.output_checks,
-                values,
-                labels,
-                &program.slot_of,
-                *cycle,
-                violations,
-                room,
-                violations_truncated,
-            );
+        if record && P::N > 0 {
+            run_output_checks::<P>(program, values, labels, *cycle, logs);
         }
     }
 }

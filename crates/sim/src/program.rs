@@ -18,7 +18,6 @@
 //! place between compilation and execution.
 
 use hdl::{mask, BinOp, LabelExpr, Netlist, Node, NodeId, UnOp, Value};
-use ifc_lattice::Label;
 
 use crate::opt::OptStats;
 use crate::simulator::{build_output_checks, compute_widths, AllowedLabel};
@@ -535,11 +534,6 @@ impl Program {
             self.runs.push((op, start as u32, end as u32));
             start = end;
         }
-    }
-
-    /// Fresh per-slot label state.
-    pub(crate) fn init_labels(&self) -> Vec<Label> {
-        vec![Label::PUBLIC_TRUSTED; self.num_slots]
     }
 
     /// Instruction counts per opcode name, sorted descending.
