@@ -12,61 +12,29 @@
 //! least one silent survivor there, or the campaign isn't measuring
 //! anything the enforcement actually provides.
 //!
-//! Usage: `cargo run --release -p bench --bin mutation_guard
-//! [--backend batched|native] [REPORT.json]`
+//! Usage: `cargo run --release -p bench --bin mutation_guard [REPORT.json]`
 //!
-//! `--backend native` routes the stage-3 fleet traffic through the
-//! native-codegen executor (`sim::NativeSim`) instead of the batched
-//! interpreter. Every mutant netlist is a distinct compile-cache key, so
-//! the native run pays one `rustc` invocation per (mutant, lane width)
-//! that reaches stage 3 — expect it to take much longer than the default
-//! on a cold cache. Use it to certify that the kill matrix holds on the
-//! codegen backend, not as the CI default. On hosts without a usable
-//! `rustc` the flag degrades gracefully: a warning on stderr and the
-//! batched interpreter, rather than a hard failure.
+//! Any argument starting with `-` is rejected with a usage message and a
+//! non-zero exit before the campaign starts, so a mistyped or removed
+//! flag can never be taken for the report path.
 
 use std::process::ExitCode;
 use std::time::Instant;
 
 use accel::protected;
-use attacks::mutate::{run_campaign, CampaignConfig, FleetBackend, KillStage};
+use attacks::mutate::{run_campaign, CampaignConfig, KillStage};
+
+const USAGE: &str = "usage: mutation_guard [REPORT.json]";
 
 fn main() -> ExitCode {
     let mut path = "MUTATION_REPORT.json".to_string();
-    let mut backend = FleetBackend::Batched;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--backend" {
-            backend = match args.next().as_deref() {
-                Some("batched") => FleetBackend::Batched,
-                Some("native") => FleetBackend::Native,
-                other => {
-                    let got = other.unwrap_or("nothing");
-                    eprintln!("mutation_guard: --backend expects 'batched' or 'native', got {got}");
-                    return ExitCode::FAILURE;
-                }
-            };
-        } else {
-            path = arg;
+    for arg in std::env::args().skip(1) {
+        if arg.starts_with('-') {
+            eprintln!("mutation_guard: unknown flag {arg}\n{USAGE}");
+            return ExitCode::FAILURE;
         }
+        path = arg;
     }
-    let requested = backend;
-    if backend == FleetBackend::Native && !sim::native_toolchain_available() {
-        eprintln!(
-            "mutation_guard: warning: --backend native requested but no rustc toolchain is \
-             available to the native-codegen executor; falling back to the batched interpreter \
-             (the kill matrix is backend-independent, only the execution engine differs)"
-        );
-        backend = FleetBackend::Batched;
-    }
-    // The fallback must be machine-readable too: CI consumers of the
-    // report should never have to scrape stderr to learn which engine
-    // actually ran the stage-3 traffic.
-    let native_fallback = requested != backend;
-    let backend_key = |b: FleetBackend| match b {
-        FleetBackend::Batched => "batched",
-        FleetBackend::Native => "native",
-    };
     let base = protected();
     // One deterministic seed, overridable via CI_SEED and recorded in
     // the report JSON (the campaign's to_json carries it), so a CI
@@ -74,7 +42,6 @@ fn main() -> ExitCode {
     let seed = bench::ci_seed(CampaignConfig::default().seed);
     let cfg = CampaignConfig {
         seed,
-        backend,
         ..CampaignConfig::default()
     };
     println!("mutation_guard: seed {seed}");
@@ -87,7 +54,7 @@ fn main() -> ExitCode {
     let total_secs = start.elapsed().as_secs_f64();
 
     println!(
-        "mutation campaign ({backend:?} fleet): {} mutants / {} classes in {campaign_secs:.1}s (control arm: +{:.1}s)",
+        "mutation campaign: {} mutants / {} classes in {campaign_secs:.1}s (control arm: +{:.1}s)",
         report.outcomes.len(),
         report.classes().len(),
         total_secs - campaign_secs
@@ -165,9 +132,7 @@ fn main() -> ExitCode {
     }
 
     let json = format!(
-        "{{\n\"backend_requested\": \"{}\",\n\"backend_used\": \"{}\",\n\"native_fallback\": {native_fallback},\n\"campaign\": {},\n\"control\": {},\n\"campaign_seconds\": {campaign_secs:.2},\n\"total_seconds\": {total_secs:.2}\n}}\n",
-        backend_key(requested),
-        backend_key(backend),
+        "{{\n\"campaign\": {},\n\"control\": {},\n\"campaign_seconds\": {campaign_secs:.2},\n\"total_seconds\": {total_secs:.2}\n}}\n",
         report.to_json(),
         control.to_json()
     );

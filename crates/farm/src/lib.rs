@@ -1,5 +1,5 @@
 //! Accelerator-farm service: a long-lived multi-tenant scheduler over
-//! the lane-batched AES simulators.
+//! the lane-batched AES simulator.
 //!
 //! The fleet harness ([`accel::fleet`]) measures a *static* workload:
 //! every session is known up front, partitioned once, and run to
@@ -49,9 +49,6 @@ mod service;
 mod tenant;
 pub mod tuner;
 
-mod backend;
-
-pub use backend::AnyLane;
 pub use metrics::{FarmMetrics, TenantMetrics};
 pub use service::{Farm, FarmConfig, FarmReport};
 pub use tenant::{AdmissionError, JobOutcome, JobSpec, TenantId, TenantSpec};

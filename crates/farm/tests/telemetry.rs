@@ -20,10 +20,10 @@ fn config(telemetry: Option<TelemetryConfig>) -> FarmConfig {
         mode: TrackMode::Precise,
         workers: 2,
         queue_capacity: 32,
-        use_native: false,
         repack_quantum: 32,
         opt: Some(OptConfig::all()),
         telemetry,
+        ..FarmConfig::default()
     }
 }
 

@@ -23,8 +23,8 @@ use crate::{BatchedSim, CompiledSim, OptConfig, Simulator, TrackMode};
 /// a dirty state re-derives the remaining violation room and executes a
 /// recording propagation, and the steady-state portion of a multi-cycle
 /// run never re-checks the settled flag. [`tick_engine`] and
-/// [`run_engine`] encode that shape once; `Simulator`, `CompiledSim`,
-/// `BatchedSim`, and `NativeSim` supply only the backend-specific pieces.
+/// [`run_engine`] encode that shape once; `Simulator`, `CompiledSim`, and
+/// `BatchedSim` supply only the backend-specific pieces.
 pub(crate) trait RunEngine {
     /// Whether a prior `eval` already settled the current inputs.
     fn is_clean(&self) -> bool;
@@ -330,14 +330,12 @@ impl SimBackend for CompiledSim {
     }
 }
 
-/// The lane-parallel simulation interface shared by [`BatchedSim`] and
-/// [`NativeSim`](crate::NativeSim).
+/// The lane-parallel simulation interface implemented by [`BatchedSim`].
 ///
 /// Mirrors [`SimBackend`] but addresses a specific lane on every state
-/// accessor, so the batched transaction driver and the fleet runner can be
-/// generic over which lane-parallel engine executes the tape. Semantics
-/// are specified by [`BatchedSim`]: every lane must match what a
-/// single-session [`Simulator`] fed the same stimulus would observe.
+/// accessor. Semantics are specified by [`BatchedSim`]: every lane must
+/// match what a single-session [`Simulator`] fed the same stimulus would
+/// observe.
 pub trait LaneBackend {
     /// Builds a backend for a lowered netlist with the given tracking
     /// mode, lane width, and optimizer configuration.
@@ -350,19 +348,6 @@ pub trait LaneBackend {
     fn with_lanes(&self, lanes: usize) -> Self
     where
         Self: Sized;
-
-    /// The narrowest lane width at which this backend's per-batch
-    /// overhead amortizes: schedulers splitting work across cores should
-    /// not shrink batches below it. The interpreter degrades gracefully
-    /// all the way down (`1`); the native executor's per-pass setup and
-    /// i-fetch cost only pay off at W ≥ 4 (see BENCH_sim.json's
-    /// `native.rows`).
-    fn min_efficient_width() -> usize
-    where
-        Self: Sized,
-    {
-        1
-    }
 
     /// The number of independent sessions executing in lock-step.
     fn lanes(&self) -> usize;

@@ -3,8 +3,7 @@
 //! on a runtime violation.
 //!
 //! A [`FlightRecorder`] rides inside a lane engine and samples every
-//! engine cycle through the [`sim::LaneBackend::sample_nodes`] hook, so
-//! it works identically over the interpreted and native executors. When
+//! engine cycle through the [`sim::LaneBackend::sample_nodes`] hook. When
 //! a violation fires on a lane, [`trigger`](FlightRecorder::trigger)
 //! arms a short post-roll; once it elapses the lane's ring is rendered
 //! as a VCD document (absolute engine-cycle timestamps, parallel
@@ -16,7 +15,7 @@
 use std::sync::{Arc, Mutex};
 
 use hdl::NodeId;
-use sim::{LaneBackend, VcdSignal, VcdTrace};
+use sim::{BatchedSim, LaneBackend, VcdSignal, VcdTrace};
 
 /// One signal the recorder samples.
 #[derive(Debug, Clone)]
@@ -192,7 +191,7 @@ impl FlightRecorder {
     /// Takes one sample of every lane (call once per engine cycle, after
     /// the backend settles). Lane-count changes (repack) flush any armed
     /// post-rolls and reset the rings.
-    pub fn sample<S: LaneBackend>(&mut self, sim: &mut S) {
+    pub fn sample(&mut self, sim: &mut BatchedSim) {
         if sim.lanes() != self.lanes {
             self.resize(sim.lanes());
         }
@@ -305,7 +304,7 @@ mod tests {
     use super::*;
     use hdl::ModuleBuilder;
     use ifc_lattice::Label;
-    use sim::{BatchedSim, OptConfig, TrackMode};
+    use sim::{OptConfig, TrackMode};
 
     fn counter_sim(lanes: usize) -> BatchedSim {
         let mut m = ModuleBuilder::new("c");
