@@ -10,10 +10,12 @@
 //! [`CompiledSim`](sim::CompiledSim) — the harness is generic over
 //! [`SimBackend`]).
 //!
-//! [`run_fleet`] drives a deterministic encrypt workload through every
-//! session, checks each ciphertext against the software AES oracle, and
-//! aggregates per-session statistics. The benchmark suite uses it to
-//! measure 1-vs-N-session scaling for both backends.
+//! [`run_fleet_on_netlist`] drives a deterministic encrypt workload
+//! through every session, checks each ciphertext against the software
+//! AES oracle, and aggregates per-session statistics;
+//! [`run_fleet_batched_opt`] runs the same workload on lane batches of
+//! the [`BatchedSim`] backend. The benchmark suite uses both to measure
+//! 1-vs-N-session scaling.
 
 use aes_core::Aes;
 use hdl::Netlist;
@@ -24,7 +26,6 @@ use std::sync::Mutex;
 use std::thread;
 
 use crate::batch::BatchedDriver;
-use crate::build::{protected, Protection};
 use crate::driver::{AccelDriver, Request};
 use crate::params::user_label;
 
@@ -340,20 +341,6 @@ pub fn run_lane_sessions(
         .collect()
 }
 
-/// Runs `config.sessions` accelerator sessions scheduled onto lane
-/// batches of the [`BatchedSim`] backend: sessions are greedily grouped
-/// into the widest supported lane batches, the tape is compiled once and
-/// shared by every batch, and a bounded worker pool claims batches.
-///
-/// Per-lane observable results (responses, rejections, violations,
-/// verification) match [`run_fleet_on_netlist`] for the same
-/// configuration; only the throughput differs, because one tape pass
-/// advances a whole batch.
-#[must_use]
-pub fn run_fleet_batched(net: &Netlist, config: FleetConfig) -> FleetStats {
-    run_fleet_batched_opt(net, config, &OptConfig::none())
-}
-
 /// Greedy partition of `sessions` into `(first session, width)` lane
 /// batches with the width clamped for worker coverage.
 ///
@@ -387,11 +374,17 @@ pub fn plan_batches(sessions: usize, workers: usize) -> Vec<(usize, usize)> {
     batches
 }
 
-/// [`run_fleet_batched`] with the tape optimizer: sessions are greedily
-/// grouped into lane batches sized for the worker pool (see
-/// [`plan_batches`]), one prototype [`BatchedSim`] compiles and
+/// Runs `config.sessions` accelerator sessions scheduled onto lane
+/// batches of the [`BatchedSim`] backend with the tape optimizer `opt`:
+/// sessions are greedily grouped into lane batches sized for the worker
+/// pool (see [`plan_batches`]), one prototype [`BatchedSim`] compiles and
 /// optimizes the shared tape once, and the bounded pool claims batches
 /// and re-stripes the prototype to each batch's width.
+///
+/// Per-lane observable results (responses, rejections, violations,
+/// verification) match [`run_fleet_on_netlist`] for the same
+/// configuration; only the throughput differs, because one tape pass
+/// advances a whole batch.
 #[must_use]
 pub fn run_fleet_batched_opt(net: &Netlist, config: FleetConfig, opt: &OptConfig) -> FleetStats {
     let batches = plan_batches(config.sessions, worker_count(config.sessions));
@@ -424,29 +417,10 @@ pub fn run_fleet_batched_opt(net: &Netlist, config: FleetConfig, opt: &OptConfig
     }
 }
 
-/// Convenience wrapper: lowers a freshly built design at the given
-/// protection level, then calls [`run_fleet_on_netlist`].
-///
-/// # Panics
-///
-/// Panics if the design fails to lower (the shipped designs never do).
-#[must_use]
-pub fn run_fleet<B: SimBackend + Clone + Send + Sync>(
-    protection: Protection,
-    config: FleetConfig,
-) -> FleetStats {
-    let design = match protection {
-        Protection::Full => protected(),
-        Protection::Off => crate::build::baseline(),
-        Protection::Annotated => crate::build::baseline_annotated(),
-    };
-    let net = design.lower().expect("accelerator design lowers");
-    run_fleet_on_netlist::<B>(&net, config)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::build::protected;
     use sim::{CompiledSim, Simulator};
 
     #[test]
@@ -457,7 +431,8 @@ mod tests {
             mode: TrackMode::Precise,
             seed: 7,
         };
-        let stats = run_fleet::<CompiledSim>(Protection::Full, config);
+        let net = protected().lower().expect("lowers");
+        let stats = run_fleet_on_netlist::<CompiledSim>(&net, config);
         assert_eq!(stats.sessions.len(), 3);
         assert_eq!(stats.total_responses(), 12);
         assert!(stats.all_verified(), "{stats:?}");
@@ -472,8 +447,9 @@ mod tests {
             mode: TrackMode::Conservative,
             seed: 99,
         };
-        let a = run_fleet::<Simulator>(Protection::Full, config);
-        let b = run_fleet::<CompiledSim>(Protection::Full, config);
+        let net = protected().lower().expect("lowers");
+        let a = run_fleet_on_netlist::<Simulator>(&net, config);
+        let b = run_fleet_on_netlist::<CompiledSim>(&net, config);
         assert_eq!(a.sessions, b.sessions);
         assert!(a.all_verified());
     }
@@ -507,12 +483,12 @@ mod tests {
         };
         let net = protected().lower().expect("lowers");
         let a = run_fleet_on_netlist::<CompiledSim>(&net, config);
-        let b = run_fleet_batched(&net, config);
+        let b = run_fleet_batched_opt(&net, config, &OptConfig::none());
         assert_eq!(a.sessions, b.sessions);
         assert!(b.all_verified(), "{b:?}");
         // With every optimizer pass on (exercising DCE's handling of the
         // real design's dynamic release labels), results are unchanged.
-        let c = run_fleet_batched_opt(&net, config, &sim::OptConfig::all());
+        let c = run_fleet_batched_opt(&net, config, &OptConfig::all());
         assert_eq!(a.sessions, c.sessions);
     }
 }

@@ -1,9 +1,9 @@
 //! The four-stage kill pipeline and the campaign runner.
 
-use accel::fleet::{run_fleet_batched, FleetConfig};
+use accel::fleet::{run_fleet_batched_opt, FleetConfig};
 use hdl::{Design, Rewriter};
 use ifc_check::{run_static_passes, LintConfig, Severity};
-use sim::TrackMode;
+use sim::{OptConfig, TrackMode};
 
 use super::report::{KillStage, MutantOutcome, MutationReport};
 use super::{catalog, Mutation};
@@ -169,7 +169,7 @@ pub fn run_mutant(base: &Design, mutation: &dyn Mutation, cfg: &CampaignConfig) 
         },
         seed: cfg.seed,
     };
-    let stats = run_fleet_batched(&net, fleet_cfg);
+    let stats = run_fleet_batched_opt(&net, fleet_cfg, &OptConfig::none());
     if cfg.control {
         // No tracking, no checker: only functional testing is left.
         if !stats.functionally_clean(cfg.blocks_per_session) {

@@ -1,10 +1,11 @@
 //! Machine-readable campaign results: `MutationReport` and its JSON
-//! encoding. No serde in the vendored dependency set, so the emitter and
-//! the (small, strict-enough) parser are hand-rolled here; the proptest
-//! suite round-trips arbitrary reports through both.
+//! encoding through the workspace's one JSON codec ([`hdl::json`]); the
+//! proptest suite round-trips arbitrary reports through it.
 
 use std::collections::BTreeMap;
 use std::fmt;
+
+use hdl::json::Json;
 
 use super::MutationClass;
 
@@ -175,44 +176,37 @@ impl MutationReport {
         map
     }
 
-    /// Serialises to JSON (stable field order, arbitrary strings escaped).
+    /// Serialises to JSON (stable field order).
     #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str(&format!("  \"design\": \"{}\",\n", esc(&self.design)));
-        s.push_str(&format!("  \"control\": {},\n", self.control));
-        s.push_str(&format!("  \"seed\": {},\n", self.seed));
-        s.push_str(&format!("  \"mutants\": {},\n", self.outcomes.len()));
-        s.push_str(&format!("  \"survivors\": {},\n", self.survivors().len()));
-        s.push_str("  \"outcomes\": [\n");
-        for (i, o) in self.outcomes.iter().enumerate() {
-            s.push_str("    {");
-            s.push_str(&format!("\"id\": \"{}\", ", esc(&o.id)));
-            s.push_str(&format!("\"class\": \"{}\", ", o.class.key()));
-            s.push_str(&format!("\"site\": \"{}\", ", esc(&o.site)));
-            s.push_str(&format!("\"description\": \"{}\", ", esc(&o.description)));
-            match o.kill {
-                Some(k) => s.push_str(&format!(
-                    "\"kill_stage\": \"{}\", \"killed_by\": \"{}\", ",
-                    k.key(),
-                    k.killed_by()
-                )),
-                None => s.push_str("\"kill_stage\": null, \"killed_by\": null, "),
-            }
-            match o.cycles_to_kill {
-                Some(c) => s.push_str(&format!("\"cycles_to_kill\": {c}, ")),
-                None => s.push_str("\"cycles_to_kill\": null, "),
-            }
-            s.push_str(&format!("\"detail\": \"{}\"", esc(&o.detail)));
-            s.push_str(if i + 1 == self.outcomes.len() {
-                "}\n"
-            } else {
-                "},\n"
-            });
-        }
-        s.push_str("  ]\n}\n");
-        s
+    pub fn to_json(&self) -> Json {
+        let opt_str = |v: Option<&str>| v.map_or(Json::Null, |s| Json::Str(s.into()));
+        let outcomes = self
+            .outcomes
+            .iter()
+            .map(|o| {
+                Json::obj(vec![
+                    ("id", Json::Str(o.id.clone())),
+                    ("class", Json::Str(o.class.key().into())),
+                    ("site", Json::Str(o.site.clone())),
+                    ("description", Json::Str(o.description.clone())),
+                    ("kill_stage", opt_str(o.kill.map(KillStage::key))),
+                    ("killed_by", opt_str(o.kill.map(KillStage::killed_by))),
+                    (
+                        "cycles_to_kill",
+                        o.cycles_to_kill.map_or(Json::Null, Json::U64),
+                    ),
+                    ("detail", Json::Str(o.detail.clone())),
+                ])
+            })
+            .collect();
+        Json::obj(vec![
+            ("design", Json::Str(self.design.clone())),
+            ("control", Json::Bool(self.control)),
+            ("seed", Json::U64(self.seed)),
+            ("mutants", Json::U64(self.outcomes.len() as u64)),
+            ("survivors", Json::U64(self.survivors().len() as u64)),
+            ("outcomes", Json::Arr(outcomes)),
+        ])
     }
 
     /// Parses a report back from JSON.
@@ -221,45 +215,41 @@ impl MutationReport {
     ///
     /// On malformed JSON or missing/ill-typed fields.
     pub fn from_json(text: &str) -> Result<MutationReport, String> {
-        let value = Json::parse(text)?;
-        let obj = value.as_obj().ok_or("top level must be an object")?;
-        let design = get_str(obj, "design")?;
-        let control = match field(obj, "control")? {
-            Json::Bool(b) => *b,
-            _ => return Err("'control' must be a bool".into()),
-        };
-        let seed = match field(obj, "seed")? {
-            Json::Num(n) => *n,
-            _ => return Err("'seed' must be a number".into()),
-        };
-        let Json::Arr(items) = field(obj, "outcomes")? else {
-            return Err("'outcomes' must be an array".into());
-        };
+        let root = Json::parse(text)?;
+        if !matches!(root, Json::Obj(_)) {
+            return Err("top level must be an object".into());
+        }
+        let design = root.field_as("design", Json::as_str)?.to_owned();
+        let control = root.field_as("control", Json::as_bool)?;
+        let seed = root.field_as("seed", Json::as_u64)?;
+        let items = root.field_as("outcomes", Json::as_arr)?;
         let mut outcomes = Vec::with_capacity(items.len());
-        for item in items {
-            let o = item.as_obj().ok_or("outcome must be an object")?;
-            let class_key = get_str(o, "class")?;
-            let class = MutationClass::from_key(&class_key)
+        for o in items {
+            if !matches!(o, Json::Obj(_)) {
+                return Err("outcome must be an object".into());
+            }
+            let class_key = o.field_as("class", Json::as_str)?;
+            let class = MutationClass::from_key(class_key)
                 .ok_or_else(|| format!("unknown class '{class_key}'"))?;
-            let kill = match field(o, "kill_stage")? {
+            let kill = match o.field("kill_stage")? {
                 Json::Null => None,
                 Json::Str(s) => Some(
                     KillStage::from_key(s).ok_or_else(|| format!("unknown kill stage '{s}'"))?,
                 ),
                 _ => return Err("'kill_stage' must be a string or null".into()),
             };
-            let cycles_to_kill = match field(o, "cycles_to_kill")? {
+            let cycles_to_kill = match o.field("cycles_to_kill")? {
                 Json::Null => None,
-                Json::Num(n) => Some(*n),
+                Json::U64(n) => Some(*n),
                 _ => return Err("'cycles_to_kill' must be a number or null".into()),
             };
             outcomes.push(MutantOutcome {
-                id: get_str(o, "id")?,
+                id: o.field_as("id", Json::as_str)?.to_owned(),
                 class,
-                site: get_str(o, "site")?,
-                description: get_str(o, "description")?,
+                site: o.field_as("site", Json::as_str)?.to_owned(),
+                description: o.field_as("description", Json::as_str)?.to_owned(),
                 kill,
-                detail: get_str(o, "detail")?,
+                detail: o.field_as("detail", Json::as_str)?.to_owned(),
                 cycles_to_kill,
             });
         }
@@ -270,206 +260,6 @@ impl MutationReport {
             outcomes,
         })
     }
-}
-
-/// Escapes a string for a JSON literal.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn field<'a>(obj: &'a [(String, Json)], key: &str) -> Result<&'a Json, String> {
-    obj.iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-        .ok_or_else(|| format!("missing field '{key}'"))
-}
-
-fn get_str(obj: &[(String, Json)], key: &str) -> Result<String, String> {
-    match field(obj, key)? {
-        Json::Str(s) => Ok(s.clone()),
-        _ => Err(format!("'{key}' must be a string")),
-    }
-}
-
-/// A minimal JSON value and recursive-descent parser — enough for the
-/// report schema (and strict on what it accepts).
-enum Json {
-    Null,
-    Bool(bool),
-    // The report schema only carries non-negative integers (seeds, cycle
-    // and mutant counts); parsing them exactly — not via f64 — keeps u64
-    // seeds round-trippable.
-    Num(u64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn as_obj(&self) -> Option<&[(String, Json)]> {
-        match self {
-            Json::Obj(o) => Some(o),
-            _ => None,
-        }
-    }
-
-    fn parse(text: &str) -> Result<Json, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0usize;
-        let v = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing data at byte {pos}"));
-        }
-        Ok(v)
-    }
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
-    skip_ws(b, pos);
-    if *pos < b.len() && b[*pos] == c {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!("expected '{}' at byte {pos}", c as char))
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        None => Err("unexpected end of input".into()),
-        Some(b'{') => {
-            *pos += 1;
-            let mut obj = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Obj(obj));
-            }
-            loop {
-                skip_ws(b, pos);
-                let key = parse_string(b, pos)?;
-                expect(b, pos, b':')?;
-                let val = parse_value(b, pos)?;
-                obj.push((key, val));
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Obj(obj));
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
-                }
-            }
-        }
-        Some(b'[') => {
-            *pos += 1;
-            let mut arr = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Arr(arr));
-            }
-            loop {
-                arr.push(parse_value(b, pos)?);
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Arr(arr));
-                    }
-                    _ => return Err(format!("expected ',' or ']' at byte {pos}")),
-                }
-            }
-        }
-        Some(b'"') => Ok(Json::Str(parse_string(b, pos)?)),
-        Some(b't') if b[*pos..].starts_with(b"true") => {
-            *pos += 4;
-            Ok(Json::Bool(true))
-        }
-        Some(b'f') if b[*pos..].starts_with(b"false") => {
-            *pos += 5;
-            Ok(Json::Bool(false))
-        }
-        Some(b'n') if b[*pos..].starts_with(b"null") => {
-            *pos += 4;
-            Ok(Json::Null)
-        }
-        Some(_) => {
-            let start = *pos;
-            while *pos < b.len() && b[*pos].is_ascii_digit() {
-                *pos += 1;
-            }
-            std::str::from_utf8(&b[start..*pos])
-                .ok()
-                .and_then(|s| s.parse::<u64>().ok())
-                .map(Json::Num)
-                .ok_or_else(|| format!("bad number at byte {start}"))
-        }
-    }
-}
-
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-    if b.get(*pos) != Some(&b'"') {
-        return Err(format!("expected string at byte {pos}"));
-    }
-    *pos += 1;
-    let mut out = Vec::new();
-    while let Some(&c) = b.get(*pos) {
-        *pos += 1;
-        match c {
-            b'"' => {
-                return String::from_utf8(out).map_err(|_| "invalid UTF-8 in string".into());
-            }
-            b'\\' => {
-                let esc = *b.get(*pos).ok_or("unterminated escape")?;
-                *pos += 1;
-                match esc {
-                    b'"' => out.push(b'"'),
-                    b'\\' => out.push(b'\\'),
-                    b'/' => out.push(b'/'),
-                    b'n' => out.push(b'\n'),
-                    b'r' => out.push(b'\r'),
-                    b't' => out.push(b'\t'),
-                    b'u' => {
-                        let hex = b
-                            .get(*pos..*pos + 4)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .ok_or("bad \\u escape")?;
-                        let code = u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
-                        *pos += 4;
-                        let ch = char::from_u32(code).ok_or("bad \\u code point")?;
-                        let mut buf = [0u8; 4];
-                        out.extend_from_slice(ch.encode_utf8(&mut buf).as_bytes());
-                    }
-                    _ => return Err(format!("unknown escape '\\{}'", esc as char)),
-                }
-            }
-            c => out.push(c),
-        }
-    }
-    Err("unterminated string".into())
 }
 
 #[cfg(test)]
@@ -507,7 +297,7 @@ mod tests {
     #[test]
     fn json_round_trips() {
         let report = sample();
-        let json = report.to_json();
+        let json = report.to_json().render();
         let back = MutationReport::from_json(&json).expect("parses");
         assert_eq!(report, back);
     }
@@ -516,7 +306,7 @@ mod tests {
     fn escaping_survives_awkward_strings() {
         let mut report = sample();
         report.outcomes[0].detail = "quote \" backslash \\ tab \t ctrl \u{1} arrow →".into();
-        let back = MutationReport::from_json(&report.to_json()).expect("parses");
+        let back = MutationReport::from_json(&report.to_json().render()).expect("parses");
         assert_eq!(report, back);
     }
 
@@ -559,9 +349,14 @@ mod tests {
 
     #[test]
     fn killed_by_column_appears_in_json() {
-        let json = sample().to_json();
-        assert!(json.contains("\"killed_by\": \"static\""));
-        assert!(json.contains("\"killed_by\": null"));
+        let json = sample().to_json().render();
+        let doc = Json::parse(&json).expect("parses");
+        let outcomes = doc.field_as("outcomes", Json::as_arr).unwrap();
+        assert_eq!(
+            outcomes[0].get("killed_by"),
+            Some(&Json::Str("static".into()))
+        );
+        assert_eq!(outcomes[1].get("killed_by"), Some(&Json::Null));
         let back = MutationReport::from_json(&json).expect("parses");
         assert_eq!(back, sample());
     }

@@ -15,22 +15,20 @@ use std::time::Instant;
 
 use accel::fleet::{run_fleet_batched_opt, FleetConfig};
 use accel::protected;
+use hdl::json::Json;
 use sim::{OptConfig, TrackMode};
 
 const SESSIONS: usize = 8;
 const BLOCKS: usize = 32;
 const REPS: usize = 5;
 
-/// Pulls a number out of hand-rolled JSON by key, no JSON dependency:
-/// finds `"key":` and parses the digits (and dot) that follow.
-fn json_number(json: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = json.find(&needle)? + needle.len();
-    let rest = json[at..].trim_start();
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit() && c != '.' && c != '-')
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+/// The recorded single-session compiled baseline, blocks/s.
+fn recorded_baseline(json: &str) -> Option<f64> {
+    Json::parse(json)
+        .ok()?
+        .get("batched_sessions")?
+        .get("compiled_single_session_blocks_per_sec")?
+        .as_f64()
 }
 
 fn main() -> ExitCode {
@@ -45,7 +43,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let Some(baseline) = json_number(&json, "compiled_single_session_blocks_per_sec") else {
+    let Some(baseline) = recorded_baseline(&json) else {
         eprintln!("batched_guard: {path} has no batched_sessions baseline; regenerate it");
         return ExitCode::FAILURE;
     };

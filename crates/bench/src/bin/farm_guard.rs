@@ -32,6 +32,7 @@ use accel::fleet::mix;
 use accel::{protected, supervisor_label, user_label};
 use farm::baseline::run_static;
 use farm::{Farm, FarmConfig, FarmReport, JobSpec, TenantSpec};
+use hdl::json::Json;
 use ifc_lattice::Label;
 use sim::{OptConfig, TrackMode};
 
@@ -262,20 +263,23 @@ fn main() -> ExitCode {
         }
     }
 
-    let json = format!(
-        "{{\n  \"seed\": {seed},\n  \
-         \"workload\": {{\"jobs\": {}, \"blocks\": {}, \"tenants\": {}, \
-         \"arrival_mean_ms\": {ARRIVAL_MEAN_MS}, \"reps\": {REPS}}},\n  \
-         \"farm_blocks_per_sec\": {farm_bps:.1},\n  \
-         \"static_blocks_per_sec\": {static_bps:.1},\n  \
-         \"speedup\": {speedup:.3},\n  \"floor\": {SPEEDUP_FLOOR},\n  \
-         \"metrics\": {}\n}}\n",
-        jobs.len(),
-        total_blocks,
-        tenant_loads().len(),
-        m.to_json(),
-    );
-    if let Err(e) = std::fs::write(&out_path, &json) {
+    let workload = Json::obj(vec![
+        ("jobs", Json::U64(jobs.len() as u64)),
+        ("blocks", Json::U64(total_blocks as u64)),
+        ("tenants", Json::U64(tenant_loads().len() as u64)),
+        ("arrival_mean_ms", Json::F64(ARRIVAL_MEAN_MS)),
+        ("reps", Json::U64(REPS as u64)),
+    ]);
+    let json = Json::obj(vec![
+        ("seed", Json::U64(seed)),
+        ("workload", workload),
+        ("farm_blocks_per_sec", Json::F64(farm_bps)),
+        ("static_blocks_per_sec", Json::F64(static_bps)),
+        ("speedup", Json::F64(speedup)),
+        ("floor", Json::F64(SPEEDUP_FLOOR)),
+        ("metrics", m.to_json()),
+    ]);
+    if let Err(e) = std::fs::write(&out_path, json.render()) {
         eprintln!("farm_guard: cannot write {out_path}: {e}");
         return ExitCode::FAILURE;
     }

@@ -37,7 +37,7 @@ use fuzz::{
     gen_input, is_one_minimal, load_corpus, replay_corpus, run_campaign, run_input, shrink, size,
     store_entry, AttackOp, CampaignConfig, FuzzInput, ProtectedReplayer, SurgeryOp, TenantProgram,
 };
-use telemetry::Json;
+use hdl::json::Json;
 
 /// Default fresh-input budget: the acceptance bar is a ≥500-input
 /// campaign with both invariants intact.

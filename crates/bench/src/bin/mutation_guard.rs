@@ -23,6 +23,7 @@ use std::time::Instant;
 
 use accel::protected;
 use attacks::mutate::{run_campaign, CampaignConfig, KillStage};
+use hdl::json::Json;
 
 const USAGE: &str = "usage: mutation_guard [REPORT.json]";
 
@@ -131,12 +132,13 @@ fn main() -> ExitCode {
         }
     }
 
-    let json = format!(
-        "{{\n\"campaign\": {},\n\"control\": {},\n\"campaign_seconds\": {campaign_secs:.2},\n\"total_seconds\": {total_secs:.2}\n}}\n",
-        report.to_json(),
-        control.to_json()
-    );
-    if let Err(e) = std::fs::write(&path, &json) {
+    let json = Json::obj(vec![
+        ("campaign", report.to_json()),
+        ("control", control.to_json()),
+        ("campaign_seconds", Json::F64(campaign_secs)),
+        ("total_seconds", Json::F64(total_secs)),
+    ]);
+    if let Err(e) = std::fs::write(&path, json.render()) {
         eprintln!("mutation_guard: cannot write {path}: {e}");
         return ExitCode::FAILURE;
     }

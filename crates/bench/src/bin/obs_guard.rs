@@ -32,6 +32,7 @@ use std::time::Duration;
 use accel::{protected, user_label, MASTER_KEY_SLOT};
 use attacks::mutate::{enumerate, run_mutant, CampaignConfig, KillStage};
 use farm::{Farm, FarmConfig, FarmReport, JobSpec, TenantSpec};
+use hdl::json::Json;
 use sim::{OptConfig, TrackMode};
 use telemetry::{AuditKind, TelemetryBundle, TelemetryConfig, Trace};
 
@@ -315,6 +316,25 @@ fn main() -> ExitCode {
     }
 
     // 4. Artifacts.
+    let summary = Json::obj(vec![
+        ("jobs", Json::U64(total_jobs as u64)),
+        ("trace_events", Json::U64(bundle.trace.events.len() as u64)),
+        ("trace_dropped", Json::U64(bundle.trace.dropped)),
+        (
+            "audit_records",
+            Json::U64(bundle.audit.records.len() as u64),
+        ),
+        ("mutant", Json::Str(victim.id())),
+        (
+            "mutant_audit_records",
+            Json::U64(mutant_bundle.audit.records.len() as u64),
+        ),
+        ("flight_dumps", Json::U64(mutant_bundle.flight.len() as u64)),
+        ("on_blocks_per_sec", Json::F64(on_bps)),
+        ("off_blocks_per_sec", Json::F64(off_bps)),
+        ("off_on_ratio", Json::F64(off_on)),
+        ("floor", Json::F64(OFF_ON_FLOOR)),
+    ]);
     let writes: Vec<(&str, String)> = vec![
         ("OBS_TRACE.json", bundle.trace.to_chrome_json()),
         ("OBS_AUDIT.json", mutant_bundle.audit.to_json()),
@@ -324,23 +344,7 @@ fn main() -> ExitCode {
             "OBS_FLIGHT.vcd",
             flight_vcd.unwrap_or_else(|| "$comment no dump captured $end\n".into()),
         ),
-        (
-            "OBS_GUARD.json",
-            format!(
-                "{{\n  \"jobs\": {total_jobs},\n  \"trace_events\": {},\n  \
-                 \"trace_dropped\": {},\n  \"audit_records\": {},\n  \
-                 \"mutant\": \"{}\",\n  \"mutant_audit_records\": {},\n  \
-                 \"flight_dumps\": {},\n  \"on_blocks_per_sec\": {on_bps:.1},\n  \
-                 \"off_blocks_per_sec\": {off_bps:.1},\n  \"off_on_ratio\": {off_on:.3},\n  \
-                 \"floor\": {OFF_ON_FLOOR}\n}}\n",
-                bundle.trace.events.len(),
-                bundle.trace.dropped,
-                bundle.audit.records.len(),
-                victim.id(),
-                mutant_bundle.audit.records.len(),
-                mutant_bundle.flight.len(),
-            ),
-        ),
+        ("OBS_GUARD.json", summary.render()),
     ];
     for (name, text) in writes {
         if let Err(e) = std::fs::write(out.join(name), text) {

@@ -1,14 +1,14 @@
-//! Plain-data metrics snapshots and their JSON rendering.
-//!
-//! Hand-rolled JSON like the rest of the repo (the build environment is
-//! offline; no serde). The shape is consumed by the `farm_guard`
-//! benchmark gate and uploaded as a CI artifact.
+//! Plain-data metrics snapshots and their JSON rendering through the
+//! workspace's one JSON codec ([`hdl::json`]). The shape is consumed by
+//! the `farm_guard` benchmark gate and uploaded as a CI artifact.
+
+use hdl::json::Json;
 
 /// A guarded ratio: `num / den` only when both operands are finite and
 /// the denominator is positive; `0.0` otherwise. Every rate the farm
 /// reports goes through this, so `stall_rate` with zero busy cycles or a
 /// `blocks_per_sec` taken microseconds after start can never surface as
-/// `NaN`/`inf` — which would render as unparseable JSON.
+/// `NaN`/`inf`.
 #[must_use]
 pub fn rate(num: f64, den: f64) -> f64 {
     if !num.is_finite() || !den.is_finite() || den <= 0.0 {
@@ -17,16 +17,6 @@ pub fn rate(num: f64, den: f64) -> f64 {
     let r = num / den;
     if r.is_finite() {
         r
-    } else {
-        0.0
-    }
-}
-
-/// Last-resort guard applied to every float the JSON rendering formats:
-/// `format!` writes `NaN`/`inf` verbatim, which no JSON parser accepts.
-fn finite(x: f64) -> f64 {
-    if x.is_finite() {
-        x
     } else {
         0.0
     }
@@ -93,80 +83,67 @@ pub struct FarmMetrics {
     pub tenants: Vec<TenantMetrics>,
 }
 
-/// Minimal JSON string escaping (tenant names are the only free text).
-fn escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            c if c.is_control() => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
+impl TenantMetrics {
+    fn to_json(&self) -> Json {
+        Json::obj(vec![
+            ("name", Json::Str(self.name.clone())),
+            ("submitted", Json::U64(self.submitted)),
+            ("admission_rejected", Json::U64(self.admission_rejected)),
+            ("queue_rejected", Json::U64(self.queue_rejected)),
+            ("completed", Json::U64(self.completed)),
+            ("blocks", Json::U64(self.blocks)),
+            ("verified", Json::U64(self.verified)),
+            ("violations", Json::U64(self.violations)),
+            ("hw_rejections", Json::U64(self.hw_rejections)),
+            ("blocks_per_sec", Json::F64(self.blocks_per_sec)),
+        ])
+    }
 }
 
 impl FarmMetrics {
-    /// Renders the snapshot as a JSON object.
+    /// The snapshot as a JSON object. Non-finite rates render as `0`
+    /// (see [`Json::F64`]).
     #[must_use]
-    pub fn to_json(&self) -> String {
-        let widths: Vec<String> = self
+    pub fn to_json(&self) -> Json {
+        let widths = self
             .width_quanta
             .iter()
-            .map(|(w, q)| format!("{{\"width\": {w}, \"quanta\": {q}}}"))
+            .map(|&(w, q)| {
+                Json::obj(vec![
+                    ("width", Json::U64(w as u64)),
+                    ("quanta", Json::U64(q)),
+                ])
+            })
             .collect();
-        let estimates: Vec<String> = self
+        let estimates = self
             .width_estimates
             .iter()
-            .map(|(w, e)| {
-                format!(
-                    "{{\"width\": {w}, \"blocks_per_sec_estimate\": {:.1}}}",
-                    finite(*e)
-                )
+            .map(|&(w, e)| {
+                Json::obj(vec![
+                    ("width", Json::U64(w as u64)),
+                    ("blocks_per_sec_estimate", Json::F64(e)),
+                ])
             })
             .collect();
-        let tenants: Vec<String> = self
-            .tenants
-            .iter()
-            .map(|t| {
-                format!(
-                    "{{\"name\": \"{}\", \"submitted\": {}, \"admission_rejected\": {}, \
-                     \"queue_rejected\": {}, \"completed\": {}, \"blocks\": {}, \
-                     \"verified\": {}, \"violations\": {}, \"hw_rejections\": {}, \
-                     \"blocks_per_sec\": {:.1}}}",
-                    escape(&t.name),
-                    t.submitted,
-                    t.admission_rejected,
-                    t.queue_rejected,
-                    t.completed,
-                    t.blocks,
-                    t.verified,
-                    t.violations,
-                    t.hw_rejections,
-                    finite(t.blocks_per_sec),
-                )
-            })
-            .collect();
-        format!(
-            "{{\n  \"elapsed_secs\": {:.3},\n  \"blocks_total\": {},\n  \
-             \"blocks_per_sec\": {:.1},\n  \"queue_depth\": {},\n  \"active_jobs\": {},\n  \
-             \"stall_cycles\": {},\n  \"busy_lane_cycles\": {},\n  \"idle_lane_cycles\": {},\n  \
-             \"stall_rate\": {:.4},\n  \"repacks\": {},\n  \"steals\": {},\n  \
-             \"width_quanta\": [{}],\n  \"width_estimates\": [{}],\n  \"tenants\": [{}]\n}}",
-            finite(self.elapsed_secs),
-            self.blocks_total,
-            finite(self.blocks_per_sec),
-            self.queue_depth,
-            self.active_jobs,
-            self.stall_cycles,
-            self.busy_lane_cycles,
-            self.idle_lane_cycles,
-            finite(self.stall_rate),
-            self.repacks,
-            self.steals,
-            widths.join(", "),
-            estimates.join(", "),
-            tenants.join(", "),
-        )
+        Json::obj(vec![
+            ("elapsed_secs", Json::F64(self.elapsed_secs)),
+            ("blocks_total", Json::U64(self.blocks_total)),
+            ("blocks_per_sec", Json::F64(self.blocks_per_sec)),
+            ("queue_depth", Json::U64(self.queue_depth as u64)),
+            ("active_jobs", Json::U64(self.active_jobs as u64)),
+            ("stall_cycles", Json::U64(self.stall_cycles)),
+            ("busy_lane_cycles", Json::U64(self.busy_lane_cycles)),
+            ("idle_lane_cycles", Json::U64(self.idle_lane_cycles)),
+            ("stall_rate", Json::F64(self.stall_rate)),
+            ("repacks", Json::U64(self.repacks)),
+            ("steals", Json::U64(self.steals)),
+            ("width_quanta", Json::Arr(widths)),
+            ("width_estimates", Json::Arr(estimates)),
+            (
+                "tenants",
+                Json::Arr(self.tenants.iter().map(TenantMetrics::to_json).collect()),
+            ),
+        ])
     }
 }
 
@@ -203,11 +180,25 @@ mod tests {
                 blocks_per_sec: 6.7,
             }],
         };
-        let json = m.to_json();
-        assert!(json.contains("\"blocks_total\": 10"));
-        assert!(json.contains("\\\"b\""), "quote in name is escaped");
-        assert!(json.contains("{\"width\": 4, \"quanta\": 5}"));
-        assert!(json.contains("{\"width\": 4, \"blocks_per_sec_estimate\": 25000.5}"));
+        let json = Json::parse(&m.to_json().render()).expect("parses");
+        assert_eq!(json.get("blocks_total"), Some(&Json::U64(10)));
+        let tenant = &json.field_as("tenants", Json::as_arr).unwrap()[0];
+        assert_eq!(
+            tenant.get("name"),
+            Some(&Json::Str("a\"b".into())),
+            "quote round-trips"
+        );
+        let widths = json.field_as("width_quanta", Json::as_arr).unwrap();
+        assert_eq!(
+            widths[1],
+            Json::obj(vec![("width", Json::U64(4)), ("quanta", Json::U64(5))])
+        );
+        let estimates = json.field_as("width_estimates", Json::as_arr).unwrap();
+        let estimate = vec![
+            ("width", Json::U64(4)),
+            ("blocks_per_sec_estimate", Json::F64(25000.5)),
+        ];
+        assert_eq!(estimates[1], Json::obj(estimate));
     }
 
     #[test]
@@ -250,10 +241,20 @@ mod tests {
                 blocks_per_sec: f64::NAN,
             }],
         };
-        let json = m.to_json();
-        assert!(!json.contains("NaN") && !json.contains("inf"), "{json}");
+        let text = m.to_json().render();
+        assert!(!text.contains("NaN") && !text.contains("inf"), "{text}");
         // The degenerate fields all collapse to plain zeros.
-        assert!(json.contains("\"stall_rate\": 0.0000"), "{json}");
-        assert!(json.contains("\"blocks_per_sec\": 0.0"), "{json}");
+        let json = Json::parse(&text).expect("parses");
+        let estimate = &json.field_as("width_estimates", Json::as_arr).unwrap()[0];
+        let tenant = &json.field_as("tenants", Json::as_arr).unwrap()[0];
+        for (v, key) in [
+            (&json, "elapsed_secs"),
+            (&json, "blocks_per_sec"),
+            (&json, "stall_rate"),
+            (estimate, "blocks_per_sec_estimate"),
+            (tenant, "blocks_per_sec"),
+        ] {
+            assert_eq!(v.field_as(key, Json::as_f64), Ok(0.0), "{key}: {text}");
+        }
     }
 }

@@ -9,7 +9,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use telemetry::Json;
+use hdl::json::Json;
 
 use crate::coverage::CoverageMap;
 use crate::input::{gen_input, mutate, FuzzInput};

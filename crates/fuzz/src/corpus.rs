@@ -18,7 +18,7 @@ use std::collections::BTreeMap;
 use std::fs;
 use std::path::Path;
 
-use telemetry::Json;
+use hdl::json::Json;
 
 use crate::coverage::CoverageMap;
 use crate::input::FuzzInput;

@@ -105,7 +105,7 @@ mod tests {
                 !cex.confirmed,
                 "{} leaked on an unmutated design: {}",
                 r.name,
-                report.to_json()
+                report.to_json().render()
             );
         }
     }

@@ -28,6 +28,7 @@ pub mod witness;
 
 use std::collections::HashMap;
 
+use hdl::json::Json;
 use hdl::{Netlist, Value};
 
 use aig::{is_neg, node_of, Aig, Lit};
@@ -36,8 +37,6 @@ use sat::{slit, SolveResult, Solver, SolverStats};
 
 pub use encode::{observables, taint_fixpoint, InputClass, ObsKind, ProveEnv};
 pub use witness::ReplayOutcome;
-
-use crate::dataflow::findings::esc;
 
 /// Knobs for one prover run.
 #[derive(Debug, Clone)]
@@ -179,76 +178,77 @@ impl ProveReport {
     }
 
     /// Serialises the report (verdicts, counterexample programs, solver
-    /// stats) as a JSON object string.
+    /// stats) as a JSON object.
     #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{{\"design\":\"{}\",\"k\":{},\"all_proved\":{},\"results\":[",
-            esc(&self.design),
-            self.k,
-            self.all_proved()
-        ));
-        for (i, r) in self.results.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"name\":\"{}\",\"kind\":\"{}\",\"verdict\":\"{}\"",
-                esc(&r.name),
-                r.kind.key(),
-                r.verdict.key()
-            ));
-            match &r.verdict {
-                Verdict::Proved { k, inductive } => {
-                    out.push_str(&format!(",\"k\":{k},\"inductive\":{inductive}"));
-                }
-                Verdict::Unknown { reason } => {
-                    out.push_str(&format!(",\"reason\":\"{}\"", esc(reason)));
-                }
-                Verdict::Counterexample(cex) => {
-                    out.push_str(&format!(
-                        ",\"cycle\":{},\"confirmed\":{},\"observed\":[\"{}\",\"{}\"]",
-                        cex.cycle, cex.confirmed, cex.observed[0], cex.observed[1]
-                    ));
-                    out.push_str(",\"programs\":[");
-                    for (pi, program) in cex.programs.iter().enumerate() {
-                        if pi > 0 {
-                            out.push(',');
-                        }
-                        out.push('[');
-                        for (ci, drives) in program.cycles.iter().enumerate() {
-                            if ci > 0 {
-                                out.push(',');
-                            }
-                            out.push('[');
-                            for (di, (port, value)) in drives.iter().enumerate() {
-                                if di > 0 {
-                                    out.push(',');
-                                }
-                                out.push_str(&format!("[\"{}\",\"{}\"]", esc(port), value));
-                            }
-                            out.push(']');
-                        }
-                        out.push(']');
+    pub fn to_json(&self) -> Json {
+        // A port program: one array per cycle of `[port, value]` pairs.
+        let drive = |(port, value): &(String, Value)| {
+            Json::Arr(vec![Json::Str(port.clone()), Json::Str(value.to_string())])
+        };
+        let program = |p: &PortProgram| {
+            Json::Arr(
+                p.cycles
+                    .iter()
+                    .map(|drives| Json::Arr(drives.iter().map(drive).collect()))
+                    .collect(),
+            )
+        };
+        let results = self
+            .results
+            .iter()
+            .map(|r| {
+                let mut fields = vec![
+                    ("name", Json::Str(r.name.clone())),
+                    ("kind", Json::Str(r.kind.key().into())),
+                    ("verdict", Json::Str(r.verdict.key().into())),
+                ];
+                match &r.verdict {
+                    Verdict::Proved { k, inductive } => {
+                        fields.push(("k", Json::U64(u64::from(*k))));
+                        fields.push(("inductive", Json::Bool(*inductive)));
                     }
-                    out.push(']');
+                    Verdict::Unknown { reason } => {
+                        fields.push(("reason", Json::Str(reason.clone())));
+                    }
+                    Verdict::Counterexample(cex) => {
+                        fields.push(("cycle", Json::U64(u64::from(cex.cycle))));
+                        fields.push(("confirmed", Json::Bool(cex.confirmed)));
+                        fields.push((
+                            "observed",
+                            Json::Arr(
+                                cex.observed
+                                    .iter()
+                                    .map(|v| Json::Str(v.to_string()))
+                                    .collect(),
+                            ),
+                        ));
+                        let programs = cex.programs.iter().map(program).collect();
+                        fields.push(("programs", Json::Arr(programs)));
+                    }
+                    Verdict::ProvedStructural => {}
                 }
-                Verdict::ProvedStructural => {}
-            }
-            out.push('}');
-        }
-        out.push_str(&format!(
-            "],\"stats\":{{\"vars\":{},\"clauses\":{},\"learnt\":{},\"conflicts\":{},\"decisions\":{},\"propagations\":{},\"restarts\":{}}}}}",
-            self.stats.vars,
-            self.stats.clauses,
-            self.stats.learnt,
-            self.stats.conflicts,
-            self.stats.decisions,
-            self.stats.propagations,
-            self.stats.restarts
-        ));
-        out
+                Json::obj(fields)
+            })
+            .collect();
+        let stats = &self.stats;
+        Json::obj(vec![
+            ("design", Json::Str(self.design.clone())),
+            ("k", Json::U64(u64::from(self.k))),
+            ("all_proved", Json::Bool(self.all_proved())),
+            ("results", Json::Arr(results)),
+            (
+                "stats",
+                Json::obj(vec![
+                    ("vars", Json::U64(stats.vars)),
+                    ("clauses", Json::U64(stats.clauses)),
+                    ("learnt", Json::U64(stats.learnt)),
+                    ("conflicts", Json::U64(stats.conflicts)),
+                    ("decisions", Json::U64(stats.decisions)),
+                    ("propagations", Json::U64(stats.propagations)),
+                    ("restarts", Json::U64(stats.restarts)),
+                ]),
+            ),
+        ])
     }
 }
 

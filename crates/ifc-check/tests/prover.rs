@@ -3,6 +3,7 @@
 //! interpreter oracle confirms, and tight designs must come back proved
 //! (structurally, by circuit folding, or by CDCL UNSAT).
 
+use hdl::json::Json;
 use hdl::{Design, LabelExpr, ModuleBuilder};
 use ifc_check::prover::{
     prove, prove_annotated, InputClass, ObsKind, ProveEnv, ProveOptions, Verdict,
@@ -249,9 +250,14 @@ fn report_json_round_trips_the_verdict_keys() {
     m.output("out", s);
     let net = lower(&m.finish());
     let report = prove_annotated(&net, &opts(1));
-    let json = report.to_json();
-    assert!(json.contains("\"design\":\"json\""));
-    assert!(json.contains("\"verdict\":\"counterexample\""));
-    assert!(json.contains("\"confirmed\":true"));
-    assert!(json.contains("\"stats\":{\"vars\":"));
+    let json = Json::parse(&report.to_json().render()).expect("report parses");
+    assert_eq!(json.field_as("design", Json::as_str), Ok("json"));
+    let result = &json.field_as("results", Json::as_arr).unwrap()[0];
+    assert_eq!(
+        result.field_as("verdict", Json::as_str),
+        Ok("counterexample")
+    );
+    assert_eq!(result.field_as("confirmed", Json::as_bool), Ok(true));
+    let stats = json.field("stats").unwrap();
+    assert!(stats.field_as("vars", Json::as_u64).is_ok());
 }

@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use crate::json::Json;
+use hdl::json::Json;
 
 /// What kind of enforcement decision a record describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -188,14 +188,6 @@ pub struct AuditLog {
     pub evicted: u64,
 }
 
-fn opt_u64(v: Option<u64>) -> Json {
-    v.map_or(Json::Null, Json::U64)
-}
-
-fn opt_str(v: &Option<String>) -> Json {
-    v.as_ref().map_or(Json::Null, |s| Json::Str(s.clone()))
-}
-
 fn get_opt_u64(v: &Json, key: &str) -> Result<Option<u64>, String> {
     match v.get(key) {
         None | Some(Json::Null) => Ok(None),
@@ -224,15 +216,18 @@ impl AuditRecord {
             ("ts_us", Json::U64(self.ts_us)),
             (
                 "kind",
-                e.kind.map_or(Json::Null, |k| Json::Str(k.key().to_owned())),
+                e.kind.map_or(Json::Null, |k| Json::Str(k.key().into())),
             ),
-            ("tenant", opt_u64(e.tenant)),
-            ("tenant_name", opt_str(&e.tenant_name)),
-            ("job", opt_u64(e.job)),
-            ("lane", opt_u64(e.lane)),
-            ("cycle", opt_u64(e.cycle)),
-            ("node", opt_u64(e.node)),
-            ("source", opt_str(&e.source)),
+            ("tenant", e.tenant.map_or(Json::Null, Json::U64)),
+            (
+                "tenant_name",
+                e.tenant_name.clone().map_or(Json::Null, Json::Str),
+            ),
+            ("job", e.job.map_or(Json::Null, Json::U64)),
+            ("lane", e.lane.map_or(Json::Null, Json::U64)),
+            ("cycle", e.cycle.map_or(Json::Null, Json::U64)),
+            ("node", e.node.map_or(Json::Null, Json::U64)),
+            ("source", e.source.clone().map_or(Json::Null, Json::Str)),
             ("detail", Json::Str(e.detail.clone())),
         ])
     }
@@ -245,8 +240,8 @@ impl AuditRecord {
             ),
         };
         Ok(AuditRecord {
-            seq: get_opt_u64(v, "seq")?.ok_or("missing seq")?,
-            ts_us: get_opt_u64(v, "ts_us")?.ok_or("missing ts_us")?,
+            seq: v.field_as("seq", Json::as_u64)?,
+            ts_us: v.field_as("ts_us", Json::as_u64)?,
             event: AuditEvent {
                 kind,
                 tenant: get_opt_u64(v, "tenant")?,
@@ -288,9 +283,7 @@ impl AuditLog {
         let root = Json::parse(text)?;
         Ok(AuditLog {
             records: root
-                .get("records")
-                .and_then(Json::as_arr)
-                .ok_or("missing records array")?
+                .field_as("records", Json::as_arr)?
                 .iter()
                 .map(AuditRecord::from_json)
                 .collect::<Result<_, _>>()?,

@@ -30,7 +30,6 @@
 
 pub mod audit;
 pub mod flight;
-pub mod json;
 pub mod metrics;
 pub mod trace;
 
@@ -38,7 +37,6 @@ use std::time::Instant;
 
 pub use audit::{AuditEvent, AuditKind, AuditLog, AuditRecord, AuditSink};
 pub use flight::{FlightDump, FlightRecorder, FlightSink, SignalDef};
-pub use json::Json;
 pub use metrics::{Counter, Gauge, Histogram, MetricsSnapshot, Registry};
 pub use trace::{arg, Arg, Trace, TraceEvent, Tracer, TRACE_PID};
 

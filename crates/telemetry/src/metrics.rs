@@ -14,7 +14,7 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::json::Json;
+use hdl::json::Json;
 
 /// A monotonically increasing counter handle.
 #[derive(Debug, Clone)]
@@ -358,32 +358,22 @@ impl MetricsSnapshot {
             .into_iter()
             .map(|(k, v)| {
                 let bounds = v
-                    .get("bounds")
-                    .and_then(Json::as_arr)
-                    .ok_or("histogram missing bounds")?
+                    .field_as("bounds", Json::as_arr)?
                     .iter()
                     .map(|b| b.as_f64().ok_or("bound not a number"))
                     .collect::<Result<_, _>>()?;
                 let counts = v
-                    .get("counts")
-                    .and_then(Json::as_arr)
-                    .ok_or("histogram missing counts")?
+                    .field_as("counts", Json::as_arr)?
                     .iter()
                     .map(|c| c.as_u64().ok_or("count not u64"))
                     .collect::<Result<_, _>>()?;
-                Ok::<_, &str>((
+                Ok::<_, String>((
                     k,
                     HistogramSnapshot {
                         bounds,
                         counts,
-                        sum: v
-                            .get("sum")
-                            .and_then(Json::as_f64)
-                            .ok_or("histogram missing sum")?,
-                        count: v
-                            .get("count")
-                            .and_then(Json::as_u64)
-                            .ok_or("histogram missing count")?,
+                        sum: v.field_as("sum", Json::as_f64)?,
+                        count: v.field_as("count", Json::as_u64)?,
                     },
                 ))
             })

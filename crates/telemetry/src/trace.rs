@@ -23,7 +23,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use crate::json::Json;
+use hdl::json::Json;
 
 /// One event argument value.
 #[derive(Debug, Clone, PartialEq)]
@@ -326,35 +326,21 @@ impl TraceEvent {
     }
 
     fn from_json(v: &Json) -> Result<TraceEvent, String> {
-        let field = |name: &str| v.get(name).ok_or_else(|| format!("missing field {name:?}"));
-        let str_field = |name: &str| {
-            field(name).and_then(|f| {
-                f.as_str()
-                    .map(str::to_owned)
-                    .ok_or_else(|| format!("field {name:?} is not a string"))
-            })
-        };
-        let u64_field = |name: &str| {
-            field(name).and_then(|f| {
-                f.as_u64()
-                    .ok_or_else(|| format!("field {name:?} is not a u64"))
-            })
-        };
-        let ph_str = str_field("ph")?;
+        let ph_str = v.field_as("ph", Json::as_str)?;
         let mut chars = ph_str.chars();
         let ph = match (chars.next(), chars.next()) {
             (Some(c), None) => c,
             _ => return Err(format!("phase {ph_str:?} is not one character")),
         };
         Ok(TraceEvent {
-            name: str_field("name")?,
-            cat: str_field("cat")?,
+            name: v.field_as("name", Json::as_str)?.to_owned(),
+            cat: v.field_as("cat", Json::as_str)?.to_owned(),
             ph,
-            ts_us: u64_field("ts")?,
-            dur_us: u64_field("dur")?,
-            tid: u64_field("tid")?,
-            id: u64_field("id")?,
-            args: args_from_json(field("args")?)?,
+            ts_us: v.field_as("ts", Json::as_u64)?,
+            dur_us: v.field_as("dur", Json::as_u64)?,
+            tid: v.field_as("tid", Json::as_u64)?,
+            id: v.field_as("id", Json::as_u64)?,
+            args: args_from_json(v.field("args")?)?,
         })
     }
 }
@@ -387,9 +373,7 @@ impl Trace {
     pub fn from_chrome_json(text: &str) -> Result<Trace, String> {
         let root = Json::parse(text)?;
         let events = root
-            .get("traceEvents")
-            .and_then(Json::as_arr)
-            .ok_or("missing traceEvents array")?
+            .field_as("traceEvents", Json::as_arr)?
             .iter()
             .map(TraceEvent::from_json)
             .collect::<Result<_, _>>()?;

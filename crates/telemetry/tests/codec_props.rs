@@ -9,10 +9,11 @@
 //! through a float). Mirrors the `attacks` crate's `mutate_props`
 //! harness.
 
+use hdl::json::Json;
 use proptest::collection::vec;
 use proptest::prelude::*;
 use telemetry::{
-    Arg, AuditEvent, AuditKind, AuditLog, AuditRecord, Json, MetricsSnapshot, Trace, TraceEvent,
+    Arg, AuditEvent, AuditKind, AuditLog, AuditRecord, MetricsSnapshot, Trace, TraceEvent,
 };
 
 fn arb_char() -> impl Strategy<Value = char> {
