@@ -18,9 +18,10 @@
 //!    shallow budgets.
 //!
 //! Writes `PROVE_REPORT.json` with the seed first, per-observable
-//! verdicts, counterexample port programs, and aggregate solver
-//! statistics, so a CI failure triages locally from the artifact alone
-//! (see the counterexample-triage walkthrough in EXPERIMENTS.md).
+//! verdicts, counterexample port programs, aggregate solver statistics
+//! and per-phase wall times (`timings_ms`), so a CI failure triages
+//! locally from the artifact alone (see the counterexample-triage
+//! walkthrough in EXPERIMENTS.md).
 //!
 //! Usage: `cargo run --release -p bench --bin prove_guard
 //! [--k N] [--seed S] [REPORT.json]`
@@ -112,6 +113,7 @@ fn main() -> ExitCode {
         protected_report.stats.clauses,
         protected_report.stats.conflicts,
     );
+    println!("  phases: {}", protected_report.timings);
     if !protected_report.all_proved() {
         failed = true;
         for r in &protected_report.results {
@@ -156,6 +158,7 @@ fn main() -> ExitCode {
         verdict_histogram(&control_report),
         control_confirmed.join(", "),
     );
+    println!("  phases: {}", control_report.timings);
     if control_confirmed.is_empty() {
         failed = true;
         eprintln!(
@@ -188,6 +191,7 @@ fn main() -> ExitCode {
         verdict_histogram(&fuzz_report),
         spoof_confirmed,
     );
+    println!("  phases: {}", fuzz_report.timings);
     if !spoof_confirmed {
         failed = true;
         eprintln!(

@@ -159,6 +159,7 @@ fn run_inner(args: &[String], stdout: &mut String) -> Result<bool, CliError> {
             prove_report.counterexamples().len(),
             prove_report.stats.conflicts
         );
+        let _ = writeln!(stdout, "prove phases: {}", prove_report.timings);
         report.findings.extend(findings);
         if let Some(path) = &cli.prove_out {
             std::fs::write(path, prove_report.to_json().render())

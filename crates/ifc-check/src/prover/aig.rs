@@ -11,8 +11,41 @@
 //! constants and idempotent/contradictory operand pairs eagerly.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use hdl::Value;
+
+/// A deterministic multiply-rotate hasher for small integer keys (the
+/// AIG's operand pairs, the encoder's `(cycle, copy, node)` triples).
+/// SipHash's DoS resistance buys nothing here: every key is derived
+/// from the netlist, and the hot lookups dominate encode time.
+#[derive(Default, Clone, Copy)]
+pub(crate) struct IntHasher(u64);
+
+impl Hasher for IntHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+/// A `HashMap` keyed by small integers under [`IntHasher`].
+pub(crate) type IntMap<K, V> = HashMap<K, V, BuildHasherDefault<IntHasher>>;
 
 /// An AIG literal: `node << 1 | negated`.
 pub type Lit = u32;
@@ -44,7 +77,7 @@ pub const fn is_neg(a: Lit) -> bool {
 const INPUT: Lit = u32::MAX;
 
 /// A little-endian bit vector of AIG literals.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Bv(pub Vec<Lit>);
 
 impl Bv {
@@ -66,7 +99,7 @@ pub struct Aig {
     /// `(a, b)` operand pairs; `(INPUT, INPUT)` marks a free variable,
     /// node 0 is the constant TRUE.
     nodes: Vec<(Lit, Lit)>,
-    cons: HashMap<(Lit, Lit), u32>,
+    cons: IntMap<(Lit, Lit), u32>,
     node_limit: usize,
     overflowed: bool,
 }
@@ -77,7 +110,7 @@ impl Aig {
     pub fn new(node_limit: usize) -> Aig {
         Aig {
             nodes: vec![(0, 0)],
-            cons: HashMap::new(),
+            cons: IntMap::default(),
             node_limit,
             overflowed: false,
         }
@@ -331,15 +364,26 @@ impl Aig {
     /// exactly `2^addr_bits.len()` members.
     pub fn bv_select(&mut self, entries: &[Bv], addr_bits: &[Lit], width: usize) -> Bv {
         assert_eq!(entries.len(), 1 << addr_bits.len(), "select shape");
-        if addr_bits.is_empty() {
-            return self.bv_resize(&entries[0], width);
-        }
-        // Split on the low bit: even addresses vs odd addresses.
-        let evens: Vec<Bv> = entries.iter().step_by(2).cloned().collect();
-        let odds: Vec<Bv> = entries.iter().skip(1).step_by(2).cloned().collect();
-        let f = self.bv_select(&evens, &addr_bits[1..], width);
-        let t = self.bv_select(&odds, &addr_bits[1..], width);
-        self.bv_mux(addr_bits[0], &t, &f, width)
+        self.select_window(entries, 0, 1, addr_bits, width)
+    }
+
+    /// The mux tree over `entries[start], entries[start + stride], ...`:
+    /// splitting on the low address bit halves the window into its even
+    /// and odd members without copying them.
+    fn select_window(
+        &mut self,
+        entries: &[Bv],
+        start: usize,
+        stride: usize,
+        addr_bits: &[Lit],
+        width: usize,
+    ) -> Bv {
+        let Some((&low, rest)) = addr_bits.split_first() else {
+            return self.bv_resize(&entries[start], width);
+        };
+        let f = self.select_window(entries, start, stride * 2, rest, width);
+        let t = self.select_window(entries, start + stride, stride * 2, rest, width);
+        self.bv_mux(low, &t, &f, width)
     }
 
     /// Evaluates a literal under a model that assigns the *input nodes*

@@ -25,13 +25,13 @@
 //!   observable's cone is never touched, and constants (register resets,
 //!   ROM contents) fold through the whole pipeline.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use hdl::{BinOp, LabelExpr, MemId, Netlist, Node, NodeId, UnOp, Value};
 use ifc_lattice::Conf;
 
-use super::aig::{self, Aig, Bv, Lit};
+use super::aig::{self, Aig, Bv, IntMap, Lit};
 
 /// How the environment drives one input port across the two runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -291,18 +291,24 @@ pub struct Encoder<'n> {
     /// Havoc the cycle-0 architectural state (for the inductive step)
     /// instead of using reset values.
     havoc_init: bool,
-    comb: HashMap<(u32, u8, u32), Bv>,
-    regs: HashMap<(u32, u8, u32), Bv>,
-    mems: HashMap<(u32, u8, u32), Rc<Vec<Bv>>>,
+    comb: IntMap<(u32, u8, u32), Bv>,
+    regs: IntMap<(u32, u8, u32), Bv>,
+    mems: IntMap<(u32, u8, u32), Rc<Vec<Bv>>>,
     /// Variables shared by both rails: public inputs, declassify havoc,
     /// keyed by `(cycle, node)`.
-    shared: HashMap<(u32, u32), Bv>,
+    shared: IntMap<(u32, u32), Bv>,
     /// Per-rail free variables: secret inputs and the free half of a
     /// `CondTag` input, keyed by `(cycle, copy, node)`.
-    free: HashMap<(u32, u8, u32), Bv>,
+    free: IntMap<(u32, u8, u32), Bv>,
     /// Shared havoc initial state, keyed by node / `(mem, cell)`.
-    init_regs: HashMap<u32, Bv>,
-    init_mems: HashMap<u32, Rc<Vec<Bv>>>,
+    init_regs: IntMap<u32, Bv>,
+    init_mems: IntMap<u32, Rc<Vec<Bv>>>,
+    /// Whether any write port targets each memory.
+    written: Vec<bool>,
+    /// Reads of unwritten memories (ROMs), keyed by `(mem, address,
+    /// width)`. A ROM holds the same cells on every cycle and rail, so a
+    /// repeated read would only walk the nodes hashing already holds.
+    rom_reads: IntMap<(u32, Bv, usize), Bv>,
 }
 
 impl<'n> Encoder<'n> {
@@ -320,13 +326,17 @@ impl<'n> Encoder<'n> {
             env,
             aig: Aig::new(node_limit),
             havoc_init,
-            comb: HashMap::new(),
-            regs: HashMap::new(),
-            mems: HashMap::new(),
-            shared: HashMap::new(),
-            free: HashMap::new(),
-            init_regs: HashMap::new(),
-            init_mems: HashMap::new(),
+            comb: IntMap::default(),
+            regs: IntMap::default(),
+            mems: IntMap::default(),
+            shared: IntMap::default(),
+            free: IntMap::default(),
+            init_regs: IntMap::default(),
+            init_mems: IntMap::default(),
+            written: (0..net.mems.len())
+                .map(|m| net.write_ports.iter().any(|wp| wp.mem.index() == m))
+                .collect(),
+            rom_reads: IntMap::default(),
         }
     }
 
@@ -495,8 +505,7 @@ impl<'n> Encoder<'n> {
             if w >= lb {
                 return self.aig.bv_select(cells, &addr.0[..lb], width);
             }
-            let reachable: Vec<Bv> = cells[..1 << w].to_vec();
-            return self.aig.bv_select(&reachable, &addr.0, width);
+            return self.aig.bv_select(&cells[..1 << w], &addr.0, width);
         }
         if w > MAX_ADDR_BITS {
             self.aig.mark_overflow();
@@ -512,7 +521,8 @@ impl<'n> Encoder<'n> {
         if let Some(cells) = self.mems.get(&key) {
             return Rc::clone(cells);
         }
-        let cells = if cycle == 0 {
+        let cells = if cycle == 0 || !self.written[mem.index()] {
+            // A ROM holds its initial cells, shared, on every cycle.
             self.init_mem_cells(mem)
         } else {
             let prev = self.mem_state(cycle - 1, copy, mem);
@@ -561,7 +571,18 @@ impl<'n> Encoder<'n> {
             Node::MemRead { mem, addr } => {
                 let addr_v = self.value(cycle, copy, addr);
                 let cells = self.mem_state(cycle, copy, mem);
-                self.mem_select(cells.as_ref(), &addr_v, w)
+                if self.written[mem.index()] {
+                    self.mem_select(cells.as_ref(), &addr_v, w)
+                } else {
+                    let key = (mem.index() as u32, addr_v, w);
+                    if let Some(bv) = self.rom_reads.get(&key) {
+                        bv.clone()
+                    } else {
+                        let bv = self.mem_select(cells.as_ref(), &key.1, w);
+                        self.rom_reads.insert(key, bv.clone());
+                        bv
+                    }
+                }
             }
             Node::Unary { op, a } => {
                 let av = self.value(cycle, copy, a);

@@ -26,7 +26,8 @@ pub mod encode;
 pub mod sat;
 pub mod witness;
 
-use std::collections::HashMap;
+use std::fmt;
+use std::time::{Duration, Instant};
 
 use hdl::json::Json;
 use hdl::{Netlist, Value};
@@ -147,8 +148,46 @@ pub struct ObsResult {
     pub verdict: Verdict,
 }
 
+/// Wall time per prover phase, summed over every query of a run.
+///
+/// Kept apart from [`SolverStats`]: those counts are exact and repeat
+/// bit-for-bit, these vary with the host.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ProveTimings {
+    /// Unrolling both rails into the AIG.
+    pub encode: Duration,
+    /// Tseitin encoding of each miter cone into CNF.
+    pub cnf: Duration,
+    /// CDCL search.
+    pub sat: Duration,
+    /// Decoding SAT models and replaying them on the oracle.
+    pub replay: Duration,
+}
+
+impl ProveTimings {
+    /// The phases as `(key, duration)` pairs, in pipeline order.
+    fn phases(&self) -> [(&'static str, Duration); 4] {
+        [
+            ("encode", self.encode),
+            ("cnf", self.cnf),
+            ("sat", self.sat),
+            ("replay", self.replay),
+        ]
+    }
+}
+
+impl fmt::Display for ProveTimings {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for (i, (key, d)) in self.phases().iter().enumerate() {
+            let sep = if i == 0 { "" } else { ", " };
+            write!(f, "{sep}{key} {:.1} ms", d.as_secs_f64() * 1e3)?;
+        }
+        Ok(())
+    }
+}
+
 /// The whole run: one verdict per observable plus aggregate solver
-/// statistics.
+/// statistics and phase timings.
 #[derive(Debug, Clone)]
 pub struct ProveReport {
     /// Design name from the netlist.
@@ -159,6 +198,8 @@ pub struct ProveReport {
     pub results: Vec<ObsResult>,
     /// Aggregate CDCL statistics across every solve.
     pub stats: SolverStats,
+    /// Wall time per phase across every query.
+    pub timings: ProveTimings,
 }
 
 impl ProveReport {
@@ -178,7 +219,7 @@ impl ProveReport {
     }
 
     /// Serialises the report (verdicts, counterexample programs, solver
-    /// stats) as a JSON object.
+    /// stats, per-phase `timings_ms`) as a JSON object.
     #[must_use]
     pub fn to_json(&self) -> Json {
         // A port program: one array per cycle of `[port, value]` pairs.
@@ -248,44 +289,58 @@ impl ProveReport {
                     ("restarts", Json::U64(stats.restarts)),
                 ]),
             ),
+            (
+                "timings_ms",
+                Json::obj(
+                    self.timings
+                        .phases()
+                        .iter()
+                        .map(|&(key, d)| (key, Json::F64(d.as_secs_f64() * 1e3)))
+                        .collect(),
+                ),
+            ),
         ])
     }
 }
 
+/// Marks an AIG node outside the Tseitin-encoded cone.
+const UNMAPPED: u32 = u32::MAX;
+
 /// Tseitin-encodes the cone of `miter` into `solver`, returning the
-/// AIG-node → SAT-variable map. `miter` must not be constant.
-fn tseitin(aig: &Aig, miter: Lit, solver: &mut Solver) -> HashMap<u32, u32> {
-    let mut map: HashMap<u32, u32> = HashMap::new();
+/// dense AIG-node → SAT-variable map ([`UNMAPPED`] outside the cone).
+/// `miter` must not be constant.
+fn tseitin(aig: &Aig, miter: Lit, solver: &mut Solver) -> Vec<u32> {
+    let mut map = vec![UNMAPPED; aig.len()];
     let mut stack = vec![node_of(miter)];
     while let Some(&n) = stack.last() {
-        if map.contains_key(&n) {
+        if map[n as usize] != UNMAPPED {
             stack.pop();
             continue;
         }
         if n == 0 {
             let v = solver.new_var();
             solver.add_clause(&[slit(v, false)]);
-            map.insert(0, v);
+            map[0] = v;
             stack.pop();
             continue;
         }
         if aig.is_input(n) {
-            map.insert(n, solver.new_var());
+            map[n as usize] = solver.new_var();
             stack.pop();
             continue;
         }
         let (a, b) = aig.and_operands(n).expect("non-input node is an AND");
         let (na, nb) = (node_of(a), node_of(b));
-        let (ma, mb) = (map.get(&na).copied(), map.get(&nb).copied());
-        let (Some(va), Some(vb)) = (ma, mb) else {
-            if ma.is_none() {
+        let (va, vb) = (map[na as usize], map[nb as usize]);
+        if va == UNMAPPED || vb == UNMAPPED {
+            if va == UNMAPPED {
                 stack.push(na);
             }
-            if mb.is_none() {
+            if vb == UNMAPPED {
                 stack.push(nb);
             }
             continue;
-        };
+        }
         let v = solver.new_var();
         let la = slit(va, is_neg(a));
         let lb = slit(vb, is_neg(b));
@@ -293,12 +348,31 @@ fn tseitin(aig: &Aig, miter: Lit, solver: &mut Solver) -> HashMap<u32, u32> {
         solver.add_clause(&[sat::neg(ln), la]);
         solver.add_clause(&[sat::neg(ln), lb]);
         solver.add_clause(&[ln, sat::neg(la), sat::neg(lb)]);
-        map.insert(n, v);
+        map[n as usize] = v;
         stack.pop();
     }
-    let m = slit(map[&node_of(miter)], is_neg(miter));
+    let m = slit(map[node_of(miter) as usize], is_neg(miter));
     solver.add_clause(&[m]);
     map
+}
+
+/// Tseitin-encodes `miter` into a fresh solver and searches it, timing
+/// both phases. Returns the node → variable map, the solver and its
+/// answer.
+fn solve_miter(
+    aig: &Aig,
+    miter: Lit,
+    opts: &ProveOptions,
+    timings: &mut ProveTimings,
+) -> (Vec<u32>, Solver, SolveResult) {
+    let started = Instant::now();
+    let mut solver = Solver::new();
+    let map = tseitin(aig, miter, &mut solver);
+    let encoded = Instant::now();
+    timings.cnf += encoded - started;
+    let out = solver.solve(opts.max_conflicts);
+    timings.sat += encoded.elapsed();
+    (map, solver, out)
 }
 
 /// Decodes the two rails' driven input values for cycles `0..=last`
@@ -346,11 +420,14 @@ fn induction_closes(
     obs: &Observable,
     opts: &ProveOptions,
     stats: &mut SolverStats,
+    timings: &mut ProveTimings,
 ) -> bool {
+    let started = Instant::now();
     let mut enc = Encoder::new(net, env.clone(), opts.max_nodes, true);
     let d0 = enc.obs_diff(0, obs);
     let dn = enc.next_state_diff();
     let miter = enc.aig.or(d0, dn);
+    timings.encode += started.elapsed();
     if enc.aig.overflowed() {
         return false;
     }
@@ -360,9 +437,7 @@ fn induction_closes(
     if miter == aig::TRUE {
         return false;
     }
-    let mut solver = Solver::new();
-    tseitin(&enc.aig, miter, &mut solver);
-    let out = solver.solve(opts.max_conflicts);
+    let (_, solver, out) = solve_miter(&enc.aig, miter, opts, timings);
     stats.absorb(solver.stats());
     matches!(out, SolveResult::Unsat)
 }
@@ -378,11 +453,12 @@ pub fn prove(net: &Netlist, env: &ProveEnv, opts: &ProveOptions) -> ProveReport 
     let (node_taint, _mem_taint) = taint_fixpoint(net, env);
     let mut results = Vec::with_capacity(obs_list.len());
     let mut stats = SolverStats::default();
+    let mut timings = ProveTimings::default();
     for obs in &obs_list {
         let verdict = if !node_taint[obs.node.index()] {
             Verdict::ProvedStructural
         } else {
-            prove_one(net, env, obs, opts, &mut stats)
+            prove_one(net, env, obs, opts, &mut stats, &mut timings)
         };
         results.push(ObsResult {
             name: obs.name.clone(),
@@ -395,6 +471,7 @@ pub fn prove(net: &Netlist, env: &ProveEnv, opts: &ProveOptions) -> ProveReport 
         k: opts.k,
         results,
         stats,
+        timings,
     }
 }
 
@@ -411,7 +488,9 @@ fn prove_one(
     obs: &Observable,
     opts: &ProveOptions,
     stats: &mut SolverStats,
+    timings: &mut ProveTimings,
 ) -> Verdict {
+    let started = Instant::now();
     let mut enc = Encoder::new(net, env.clone(), opts.max_nodes, false);
     let mut diffs = Vec::with_capacity(opts.k as usize);
     let mut miter = aig::FALSE;
@@ -420,6 +499,7 @@ fn prove_one(
         diffs.push(d);
         miter = enc.aig.or(miter, d);
     }
+    timings.encode += started.elapsed();
     if enc.aig.overflowed() {
         return Verdict::Unknown {
             reason: format!("AIG node budget ({}) exhausted", opts.max_nodes),
@@ -427,19 +507,17 @@ fn prove_one(
     }
     if miter == aig::FALSE {
         // The two rails folded to the same circuit: proof by hashing.
-        let inductive = opts.induction && induction_closes(net, env, obs, opts, stats);
+        let inductive = opts.induction && induction_closes(net, env, obs, opts, stats, timings);
         return Verdict::Proved {
             k: opts.k,
             inductive,
         };
     }
-    let mut solver = Solver::new();
-    let map = tseitin(&enc.aig, miter, &mut solver);
-    let out = solver.solve(opts.max_conflicts);
+    let (map, solver, out) = solve_miter(&enc.aig, miter, opts, timings);
     stats.absorb(solver.stats());
     match out {
         SolveResult::Unsat => {
-            let inductive = opts.induction && induction_closes(net, env, obs, opts, stats);
+            let inductive = opts.induction && induction_closes(net, env, obs, opts, stats, timings);
             Verdict::Proved {
                 k: opts.k,
                 inductive,
@@ -449,7 +527,11 @@ fn prove_one(
             reason: format!("conflict budget ({}) exhausted", opts.max_conflicts),
         },
         SolveResult::Sat => {
-            let model = move |n: u32| map.get(&n).is_some_and(|&v| solver.value(v));
+            let started = Instant::now();
+            let model = move |n: u32| {
+                let v = map[n as usize];
+                v != UNMAPPED && solver.value(v)
+            };
             let mut memo = vec![None; enc.aig.len()];
             let cycle = diffs
                 .iter()
@@ -462,6 +544,7 @@ fn prove_one(
             } else {
                 (false, [0, 0])
             };
+            timings.replay += started.elapsed();
             Verdict::Counterexample(Box::new(Counterexample {
                 cycle,
                 programs,

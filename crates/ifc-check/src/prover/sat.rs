@@ -72,17 +72,21 @@ impl SolverStats {
 
 const UNASSIGNED: u8 = 2;
 
+/// `VarHeap::pos` of a variable not in the heap.
+const OUT_OF_HEAP: u32 = u32::MAX;
+
 /// A max-heap over variable activities with position tracking, so
 /// re-inserts and bumps stay `O(log n)`.
 #[derive(Default)]
 struct VarHeap {
     heap: Vec<u32>,
-    pos: Vec<Option<u32>>,
+    /// Heap slot per variable, [`OUT_OF_HEAP`] when absent.
+    pos: Vec<u32>,
 }
 
 impl VarHeap {
     fn grow(&mut self, vars: usize) {
-        self.pos.resize(vars, None);
+        self.pos.resize(vars, OUT_OF_HEAP);
     }
 
     fn less(a: f64, b: f64) -> bool {
@@ -94,8 +98,8 @@ impl VarHeap {
             let p = (i - 1) / 2;
             if Self::less(act[self.heap[p] as usize], act[self.heap[i] as usize]) {
                 self.heap.swap(p, i);
-                self.pos[self.heap[p] as usize] = Some(p as u32);
-                self.pos[self.heap[i] as usize] = Some(i as u32);
+                self.pos[self.heap[p] as usize] = p as u32;
+                self.pos[self.heap[i] as usize] = i as u32;
                 i = p;
             } else {
                 break;
@@ -121,53 +125,78 @@ impl VarHeap {
                 break;
             }
             self.heap.swap(best, i);
-            self.pos[self.heap[best] as usize] = Some(best as u32);
-            self.pos[self.heap[i] as usize] = Some(i as u32);
+            self.pos[self.heap[best] as usize] = best as u32;
+            self.pos[self.heap[i] as usize] = i as u32;
             i = best;
         }
     }
 
     fn insert(&mut self, v: u32, act: &[f64]) {
-        if self.pos[v as usize].is_some() {
+        if self.pos[v as usize] != OUT_OF_HEAP {
             return;
         }
         self.heap.push(v);
         let i = self.heap.len() - 1;
-        self.pos[v as usize] = Some(i as u32);
+        self.pos[v as usize] = i as u32;
         self.sift_up(i, act);
     }
 
     fn bumped(&mut self, v: u32, act: &[f64]) {
-        if let Some(i) = self.pos[v as usize] {
+        let i = self.pos[v as usize];
+        if i != OUT_OF_HEAP {
             self.sift_up(i as usize, act);
         }
     }
 
     fn pop(&mut self, act: &[f64]) -> Option<u32> {
         let top = *self.heap.first()?;
-        self.pos[top as usize] = None;
+        self.pos[top as usize] = OUT_OF_HEAP;
         let last = self.heap.pop().expect("non-empty");
         if !self.heap.is_empty() {
             self.heap[0] = last;
-            self.pos[last as usize] = Some(0);
+            self.pos[last as usize] = 0;
             self.sift_down(0, act);
         }
         Some(top)
     }
 }
 
+/// Sentinel in [`Watch::other`] marking a clause of three or more
+/// literals.
+const LONG: SLit = u32::MAX;
+
+/// `VarInfo::reason` of a decision or level-0 unit.
+const NO_REASON: u32 = u32::MAX;
+
+/// What conflict analysis needs to know about an assigned variable.
+#[derive(Clone, Copy)]
+struct VarInfo {
+    level: u32,
+    /// The clause that implied it, or [`NO_REASON`].
+    reason: u32,
+}
+
+/// One watch-list entry. A binary clause carries its other literal, so
+/// propagating through it never reads the clause arena.
+#[derive(Clone, Copy)]
+struct Watch {
+    /// The clause's arena offset.
+    clause: u32,
+    /// The other literal of a binary clause, or [`LONG`].
+    other: SLit,
+}
+
 /// The CDCL solver.
 pub struct Solver {
-    /// Clause arena; learnt clauses share it.
-    clauses: Vec<Vec<SLit>>,
-    /// Watch lists indexed by literal: clause indices watching it.
-    watches: Vec<Vec<u32>>,
+    /// Every clause back to back as `[len, lits...]`, learnt clauses
+    /// included; a clause is named by the offset of its `len` word.
+    arena: Vec<u32>,
+    /// Watch lists indexed by literal: the clauses watching it.
+    watches: Vec<Vec<Watch>>,
     /// Assignment per variable: 0 false, 1 true, 2 unassigned.
     assign: Vec<u8>,
-    /// Decision level per variable.
-    level: Vec<u32>,
-    /// Implying clause per variable (`u32::MAX` for decisions).
-    reason: Vec<u32>,
+    /// Decision level and implying clause per variable.
+    vars: Vec<VarInfo>,
     trail: Vec<SLit>,
     trail_lim: Vec<u32>,
     prop_head: usize,
@@ -187,16 +216,25 @@ impl Default for Solver {
     }
 }
 
+/// A literal's value under `assign`: 0 false, 1 true, 2 unassigned.
+fn value_in(assign: &[u8], l: SLit) -> u8 {
+    let a = assign[var_of(l) as usize];
+    if a == UNASSIGNED {
+        UNASSIGNED
+    } else {
+        a ^ (l & 1) as u8
+    }
+}
+
 impl Solver {
     /// An empty instance.
     #[must_use]
     pub fn new() -> Solver {
         Solver {
-            clauses: Vec::new(),
+            arena: Vec::new(),
             watches: Vec::new(),
             assign: Vec::new(),
-            level: Vec::new(),
-            reason: Vec::new(),
+            vars: Vec::new(),
             trail: Vec::new(),
             trail_lim: Vec::new(),
             prop_head: 0,
@@ -214,8 +252,10 @@ impl Solver {
     pub fn new_var(&mut self) -> u32 {
         let v = self.assign.len() as u32;
         self.assign.push(UNASSIGNED);
-        self.level.push(0);
-        self.reason.push(u32::MAX);
+        self.vars.push(VarInfo {
+            level: 0,
+            reason: NO_REASON,
+        });
         self.activity.push(0.0);
         self.phase.push(false);
         self.seen.push(false);
@@ -227,15 +267,6 @@ impl Solver {
         v
     }
 
-    fn lit_value(&self, l: SLit) -> u8 {
-        let a = self.assign[var_of(l) as usize];
-        if a == UNASSIGNED {
-            UNASSIGNED
-        } else {
-            a ^ (l & 1) as u8
-        }
-    }
-
     /// Adds a clause. Returns `false` if the formula became trivially
     /// unsatisfiable (empty clause or conflicting units at level 0).
     pub fn add_clause(&mut self, lits: &[SLit]) -> bool {
@@ -243,24 +274,31 @@ impl Solver {
             return false;
         }
         debug_assert!(self.trail_lim.is_empty(), "clauses are added at level 0");
-        // Dedup and drop clauses satisfied or falsified at level 0.
-        let mut c: Vec<SLit> = Vec::with_capacity(lits.len());
+        // Dedup and drop clauses satisfied or falsified at level 0,
+        // building the clause in place at the end of the arena.
+        let clause = self.arena.len();
+        self.arena.push(0);
         for &l in lits {
-            if self.lit_value(l) == 1 || c.contains(&neg(l)) {
+            let kept = &self.arena[clause + 1..];
+            if value_in(&self.assign, l) == 1 || kept.contains(&neg(l)) {
+                self.arena.truncate(clause);
                 return true; // satisfied or tautology
             }
-            if self.lit_value(l) == 0 || c.contains(&l) {
+            if value_in(&self.assign, l) == 0 || kept.contains(&l) {
                 continue; // falsified at level 0 or duplicate
             }
-            c.push(l);
+            self.arena.push(l);
         }
-        match c.len() {
+        match self.arena.len() - clause - 1 {
             0 => {
+                self.arena.truncate(clause);
                 self.unsat = true;
                 return false;
             }
             1 => {
-                self.enqueue(c[0], u32::MAX);
+                let unit = self.arena[clause + 1];
+                self.arena.truncate(clause);
+                self.enqueue(unit, NO_REASON);
                 if self.propagate().is_some() {
                     self.unsat = true;
                     return false;
@@ -269,20 +307,45 @@ impl Solver {
             }
             _ => {}
         }
-        let idx = self.clauses.len() as u32;
-        self.watches[c[0] as usize].push(idx);
-        self.watches[c[1] as usize].push(idx);
-        self.clauses.push(c);
+        self.attach(clause);
         self.stats.clauses += 1;
         true
+    }
+
+    /// Seals the clause whose `len` word sits at `arena[clause]` and
+    /// whose literals run to the end of the arena, and watches its first
+    /// two literals. Returns its name.
+    fn attach(&mut self, clause: usize) -> u32 {
+        let len = self.arena.len() - clause - 1;
+        self.arena[clause] = len as u32;
+        let (a, b) = (self.arena[clause + 1], self.arena[clause + 2]);
+        let clause = clause as u32;
+        let (other_a, other_b) = if len == 2 { (b, a) } else { (LONG, LONG) };
+        self.watches[a as usize].push(Watch {
+            clause,
+            other: other_a,
+        });
+        self.watches[b as usize].push(Watch {
+            clause,
+            other: other_b,
+        });
+        clause
+    }
+
+    /// The literals of a clause, as a range of the arena.
+    fn lits_of(&self, clause: u32) -> std::ops::Range<usize> {
+        let start = clause as usize + 1;
+        start..start + self.arena[clause as usize] as usize
     }
 
     fn enqueue(&mut self, l: SLit, reason: u32) {
         let v = var_of(l) as usize;
         debug_assert_eq!(self.assign[v], UNASSIGNED);
         self.assign[v] = 1 ^ (l & 1) as u8;
-        self.level[v] = self.trail_lim.len() as u32;
-        self.reason[v] = reason;
+        self.vars[v] = VarInfo {
+            level: self.trail_lim.len() as u32,
+            reason,
+        };
         self.phase[v] = l & 1 == 0;
         self.trail.push(l);
         self.stats.propagations += 1;
@@ -297,38 +360,53 @@ impl Solver {
             let mut watchers = std::mem::take(&mut self.watches[falsified as usize]);
             let mut i = 0;
             while i < watchers.len() {
-                let ci = watchers[i];
-                // Normalise: the falsified literal sits at slot 1.
-                if self.clauses[ci as usize][0] == falsified {
-                    self.clauses[ci as usize].swap(0, 1);
+                let Watch { clause, other } = watchers[i];
+                if other != LONG {
+                    match value_in(&self.assign, other) {
+                        1 => {}
+                        0 => {
+                            // Store the clause as `[other, falsified]`, the
+                            // order conflict analysis walks it in.
+                            let start = clause as usize + 1;
+                            self.arena[start] = other;
+                            self.arena[start + 1] = falsified;
+                            self.watches[falsified as usize].append(&mut watchers);
+                            return Some(clause);
+                        }
+                        _ => self.enqueue(other, clause),
+                    }
+                    i += 1;
+                    continue;
                 }
-                let first = self.clauses[ci as usize][0];
-                if self.lit_value(first) == 1 {
+                let range = self.lits_of(clause);
+                let c = &mut self.arena[range];
+                // Normalise: the falsified literal sits at slot 1.
+                if c[0] == falsified {
+                    c.swap(0, 1);
+                }
+                let first = c[0];
+                if value_in(&self.assign, first) == 1 {
                     i += 1;
                     continue;
                 }
                 // Look for a new watch.
-                let mut moved = false;
-                for k in 2..self.clauses[ci as usize].len() {
-                    let q = self.clauses[ci as usize][k];
-                    if self.lit_value(q) != 0 {
-                        self.clauses[ci as usize].swap(1, k);
-                        self.watches[q as usize].push(ci);
-                        watchers.swap_remove(i);
-                        moved = true;
-                        break;
-                    }
-                }
-                if moved {
+                if let Some(k) = (2..c.len()).find(|&k| value_in(&self.assign, c[k]) != 0) {
+                    let q = c[k];
+                    c.swap(1, k);
+                    self.watches[q as usize].push(Watch {
+                        clause,
+                        other: LONG,
+                    });
+                    watchers.swap_remove(i);
                     continue;
                 }
-                if self.lit_value(first) == 0 {
+                if value_in(&self.assign, first) == 0 {
                     // Conflict: restore remaining watchers.
                     self.watches[falsified as usize].append(&mut watchers);
-                    return Some(ci);
+                    return Some(clause);
                 }
                 // Unit: propagate first.
-                self.enqueue(first, ci);
+                self.enqueue(first, clause);
                 i += 1;
             }
             self.watches[falsified as usize] = watchers;
@@ -357,20 +435,21 @@ impl Solver {
         let current = self.trail_lim.len() as u32;
         let mut trail_pos = self.trail.len();
         loop {
-            for idx in 0..self.clauses[clause as usize].len() {
-                let q = self.clauses[clause as usize][idx];
+            for idx in self.lits_of(clause) {
+                let q = self.arena[idx];
                 // Skip the literal this clause propagated (the pivot of
                 // the resolution step).
                 if Some(q) == cursor {
                     continue;
                 }
                 let v = var_of(q) as usize;
-                if self.seen[v] || self.level[v] == 0 {
+                let level = self.vars[v].level;
+                if self.seen[v] || level == 0 {
                     continue;
                 }
                 self.seen[v] = true;
                 self.bump_var(v as u32);
-                if self.level[v] == current {
+                if level == current {
                     counter += 1;
                 } else {
                     learnt.push(q);
@@ -391,7 +470,7 @@ impl Solver {
                 cursor = Some(p);
                 break;
             }
-            clause = self.reason[v];
+            clause = self.vars[v].reason;
             cursor = Some(p);
         }
         let uip = neg(cursor.expect("first UIP exists"));
@@ -403,14 +482,14 @@ impl Solver {
         // Backjump level: highest level among the non-UIP literals.
         let back = out[1..]
             .iter()
-            .map(|&q| self.level[var_of(q) as usize])
+            .map(|&q| self.vars[var_of(q) as usize].level)
             .max()
             .unwrap_or(0);
         // Move a literal of the backjump level into the second watch slot.
         if out.len() > 1 {
             let k = out[1..]
                 .iter()
-                .position(|&q| self.level[var_of(q) as usize] == back)
+                .position(|&q| self.vars[var_of(q) as usize].level == back)
                 .expect("backjump literal")
                 + 1;
             out.swap(1, k);
@@ -425,7 +504,6 @@ impl Solver {
                 let l = self.trail.pop().expect("trail");
                 let v = var_of(l);
                 self.assign[v as usize] = UNASSIGNED;
-                self.reason[v as usize] = u32::MAX;
                 self.heap.insert(v, &self.activity);
             }
         }
@@ -438,7 +516,7 @@ impl Solver {
                 self.trail_lim.push(self.trail.len() as u32);
                 self.stats.decisions += 1;
                 let l = slit(v, !self.phase[v as usize]);
-                self.enqueue(l, u32::MAX);
+                self.enqueue(l, NO_REASON);
                 return true;
             }
         }
@@ -468,15 +546,14 @@ impl Solver {
                 let (learnt, back) = self.analyze(conflict);
                 self.cancel_until(back);
                 if learnt.len() == 1 {
-                    self.enqueue(learnt[0], u32::MAX);
+                    self.enqueue(learnt[0], NO_REASON);
                 } else {
-                    let idx = self.clauses.len() as u32;
-                    self.watches[learnt[0] as usize].push(idx);
-                    self.watches[learnt[1] as usize].push(idx);
-                    let uip = learnt[0];
-                    self.clauses.push(learnt);
+                    let clause = self.arena.len();
+                    self.arena.push(0);
+                    self.arena.extend_from_slice(&learnt);
+                    let clause = self.attach(clause);
                     self.stats.learnt += 1;
-                    self.enqueue(uip, idx);
+                    self.enqueue(learnt[0], clause);
                 }
                 self.var_inc /= 0.95;
             } else {

@@ -5,8 +5,9 @@
 
 use hdl::json::Json;
 use hdl::{Design, LabelExpr, ModuleBuilder};
+use ifc_check::prover::sat::SolverStats;
 use ifc_check::prover::{
-    prove, prove_annotated, InputClass, ObsKind, ProveEnv, ProveOptions, Verdict,
+    prove, prove_annotated, InputClass, ObsKind, ProveEnv, ProveOptions, ProveReport, Verdict,
 };
 use ifc_lattice::Label;
 
@@ -260,4 +261,93 @@ fn report_json_round_trips_the_verdict_keys() {
     assert_eq!(result.field_as("confirmed", Json::as_bool), Ok(true));
     let stats = json.field("stats").unwrap();
     assert!(stats.field_as("vars", Json::as_u64).is_ok());
+    let timings = json.field("timings_ms").unwrap();
+    for phase in ["encode", "cnf", "sat", "replay"] {
+        let ms = timings.field_as(phase, Json::as_f64).unwrap();
+        assert!(ms >= 0.0, "{phase} took {ms} ms");
+    }
+}
+
+/// The single verdict of a run restricted to one observable; no
+/// budget-limited run may ever report a proof.
+fn only_verdict(report: &ProveReport) -> &Verdict {
+    assert_eq!(report.results.len(), 1, "one targeted observable");
+    let verdict = &report.results[0].verdict;
+    assert!(
+        !verdict.is_proved(),
+        "a budget-limited run proved: {verdict:?}"
+    );
+    verdict
+}
+
+fn unknown_reason(verdict: &Verdict) -> &str {
+    match verdict {
+        Verdict::Unknown { reason } => reason,
+        other => panic!("expected Unknown, got {other:?}"),
+    }
+}
+
+#[test]
+fn node_budget_turns_a_large_cone_into_unknown() {
+    // The `dbg_out-drop` mutant's leaking cone needs ~320k AIG nodes at
+    // k=5; a budget far below that must give up honestly.
+    let design = accel::protected();
+    let mutant = attacks::mutate::enumerate(&design, 1)
+        .into_iter()
+        .find(|m| m.id() == "port-label/dbg_out-drop")
+        .expect("catalogue has port-label/dbg_out-drop");
+    let net = lower(&mutant.apply(&design));
+    let report = prove_annotated(
+        &net,
+        &ProveOptions {
+            k: 5,
+            max_nodes: 50_000,
+            targets: Some(vec!["dbg_out".into()]),
+            ..ProveOptions::default()
+        },
+    );
+    let reason = unknown_reason(only_verdict(&report));
+    assert!(reason.contains("AIG node budget"), "reason: {reason}");
+}
+
+#[test]
+fn conflict_budget_turns_a_hard_query_into_unknown() {
+    // The protected design's `cfg_out` query at k=8 needs 405 conflicts.
+    let net = lower(&accel::protected());
+    let report = prove_annotated(
+        &net,
+        &ProveOptions {
+            k: 8,
+            max_conflicts: 1,
+            targets: Some(vec!["cfg_out".into()]),
+            ..ProveOptions::default()
+        },
+    );
+    let reason = unknown_reason(only_verdict(&report));
+    assert!(reason.contains("conflict budget"), "reason: {reason}");
+}
+
+/// Pins the prover's search on the protected accelerator: the same AIG,
+/// CNF, decisions and conflicts give exactly these counts, which are
+/// also the committed `PROVE_REPORT.json` values. A change to data
+/// layout must leave them alone; a deliberate change to the search
+/// (encoding, branching, restarts, learning) updates them, and the
+/// committed report, in the same change.
+#[test]
+fn protected_proof_search_is_pinned() {
+    let net = lower(&accel::protected());
+    let report = prove_annotated(&net, &opts(8));
+    assert!(report.all_proved());
+    assert_eq!(
+        report.stats,
+        SolverStats {
+            vars: 989,
+            clauses: 2442,
+            learnt: 400,
+            conflicts: 405,
+            decisions: 2992,
+            propagations: 40585,
+            restarts: 2,
+        }
+    );
 }
