@@ -3,19 +3,17 @@
 //! An SoC deployment of the accelerator serves many mutually distrusting
 //! principals at once; for simulation-based evaluation the natural way to
 //! scale is *sessions*, not cycles: N fully independent accelerator
-//! instances, each with its own keys and request stream, running on N OS
-//! threads. Netlist lowering happens once; every session receives a clone
-//! of the lowered netlist and builds its own simulation backend
-//! ([`Simulator`](sim::Simulator) or the compiled tape backend
-//! [`CompiledSim`](sim::CompiledSim) — the harness is generic over
-//! [`SimBackend`]).
+//! sessions, each with its own keys and request stream. Netlist lowering
+//! and tape compilation happen once; sessions are grouped into lane
+//! batches of one [`BatchedSim`] prototype and the batches run on a
+//! bounded worker pool.
 //!
-//! [`run_fleet_on_netlist`] drives a deterministic encrypt workload
-//! through every session, checks each ciphertext against the software
-//! AES oracle, and aggregates per-session statistics;
-//! [`run_fleet_batched_opt`] runs the same workload on lane batches of
-//! the [`BatchedSim`] backend. The benchmark suite uses both to measure
-//! 1-vs-N-session scaling.
+//! [`run_fleet_batched_opt`] is the fleet entry point: it drives a
+//! deterministic encrypt workload through every session, checks each
+//! ciphertext against the software AES oracle, and aggregates
+//! per-session statistics. [`run_session`] runs the same workload on one
+//! [`AccelDriver`] over any [`SimBackend`] — the per-session reference
+//! the batched fleet's results are compared against.
 
 use aes_core::Aes;
 use hdl::Netlist;
@@ -231,48 +229,6 @@ fn worker_count(items: usize) -> usize {
         .max(1)
 }
 
-/// Runs `config.sessions` independent accelerator instances on backend
-/// `B`, on a bounded worker pool.
-///
-/// The netlist is lowered and compiled **once**: every session's driver
-/// wraps a clone of one prototype backend, so for the compiled backends a
-/// session costs only its own state arrays, not a recompilation of the
-/// tape. Workers are clamped to [`std::thread::available_parallelism`]
-/// and claim sessions from a shared counter, so the pool stays fully
-/// busy without oversubscribing the host.
-///
-/// Sessions stay fully isolated — separate simulator state, separate key
-/// material — so this measures how simulation throughput scales with
-/// independent instances, the deployment shape of a multi-tenant SoC
-/// evaluation.
-#[must_use]
-pub fn run_fleet_on_netlist<B: SimBackend + Clone + Send + Sync>(
-    net: &Netlist,
-    config: FleetConfig,
-) -> FleetStats {
-    let prototype = B::from_netlist(net.clone(), config.mode);
-    let next = AtomicUsize::new(0);
-    let results = Mutex::new(vec![SessionStats::default(); config.sessions]);
-    thread::scope(|s| {
-        for _ in 0..worker_count(config.sessions) {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= config.sessions {
-                    break;
-                }
-                let mut driver = AccelDriver::from_backend(prototype.clone());
-                let user = user_label(i % 4);
-                let seed = mix(config.seed ^ (i as u64) << 8);
-                let stats = run_session(&mut driver, config.blocks_per_session, user, seed);
-                results.lock().expect("no poisoned sessions")[i] = stats;
-            });
-        }
-    });
-    FleetStats {
-        sessions: results.into_inner().expect("no poisoned sessions"),
-    }
-}
-
 /// Runs one batch's workload: the same key-load / submit / drain / verify
 /// sequence as [`run_session`], with lane `l` deriving its key and
 /// plaintext stream from `seeds[l]` exactly as a single session would.
@@ -345,9 +301,7 @@ pub fn run_lane_sessions(
 /// batches with the width clamped for worker coverage.
 ///
 /// Plain widest-fit packs 8 sessions into one 8-wide batch, which on a
-/// 2-core host leaves the second worker idle *and* runs the measurably
-/// slower W=8 batch shape (BENCH_sim.json recorded 3009 blocks/s at W=8
-/// against 4085 at W=4 before this clamp). Capping the width at
+/// 2-core host leaves the second worker idle. Capping the width at
 /// `ceil(sessions / workers)` — rounded up to a supported width — splits
 /// the same sessions into enough batches to keep every worker busy: 8
 /// sessions on 2 cores become two concurrent 4-wide batches.
@@ -382,9 +336,9 @@ pub fn plan_batches(sessions: usize, workers: usize) -> Vec<(usize, usize)> {
 /// and re-stripes the prototype to each batch's width.
 ///
 /// Per-lane observable results (responses, rejections, violations,
-/// verification) match [`run_fleet_on_netlist`] for the same
-/// configuration; only the throughput differs, because one tape pass
-/// advances a whole batch.
+/// verification, cycle counts) match [`run_session`] run once per
+/// session on its own driver with the same user and seed; only the
+/// throughput differs, because one tape pass advances a whole batch.
 #[must_use]
 pub fn run_fleet_batched_opt(net: &Netlist, config: FleetConfig, opt: &OptConfig) -> FleetStats {
     let batches = plan_batches(config.sessions, worker_count(config.sessions));
@@ -423,6 +377,25 @@ mod tests {
     use crate::build::protected;
     use sim::{CompiledSim, Simulator};
 
+    /// The per-session reference: every session of `config` on its own
+    /// `AccelDriver<B>`, one after another, with the user and seed
+    /// derivation [`run_fleet_batched_opt`] uses.
+    fn sequential_fleet<B: SimBackend>(net: &Netlist, config: FleetConfig) -> FleetStats {
+        let sessions = (0..config.sessions)
+            .map(|i| {
+                let mut driver = AccelDriver::<B>::from_netlist_on(net.clone(), config.mode);
+                let seed = mix(config.seed ^ (i as u64) << 8);
+                run_session(
+                    &mut driver,
+                    config.blocks_per_session,
+                    user_label(i % 4),
+                    seed,
+                )
+            })
+            .collect();
+        FleetStats { sessions }
+    }
+
     #[test]
     fn fleet_runs_parallel_sessions_and_verifies() {
         let config = FleetConfig {
@@ -432,11 +405,13 @@ mod tests {
             seed: 7,
         };
         let net = protected().lower().expect("lowers");
-        let stats = run_fleet_on_netlist::<CompiledSim>(&net, config);
+        let stats = sequential_fleet::<Simulator>(&net, config);
         assert_eq!(stats.sessions.len(), 3);
         assert_eq!(stats.total_responses(), 12);
         assert!(stats.all_verified(), "{stats:?}");
         assert_eq!(stats.total_violations(), 0, "{stats:?}");
+        let batched = run_fleet_batched_opt(&net, config, &OptConfig::all());
+        assert_eq!(stats.sessions, batched.sessions);
     }
 
     #[test]
@@ -448,10 +423,12 @@ mod tests {
             seed: 99,
         };
         let net = protected().lower().expect("lowers");
-        let a = run_fleet_on_netlist::<Simulator>(&net, config);
-        let b = run_fleet_on_netlist::<CompiledSim>(&net, config);
+        let a = sequential_fleet::<Simulator>(&net, config);
+        let b = sequential_fleet::<CompiledSim>(&net, config);
         assert_eq!(a.sessions, b.sessions);
         assert!(a.all_verified());
+        let c = run_fleet_batched_opt(&net, config, &OptConfig::all());
+        assert_eq!(a.sessions, c.sessions);
     }
 
     #[test]
@@ -474,7 +451,8 @@ mod tests {
     fn batched_fleet_matches_per_session_fleet() {
         // 5 sessions forces a mixed partition (one 4-lane batch + one
         // 1-lane batch); per-lane results must still match the
-        // session-at-a-time fleet exactly, including cycle counts.
+        // session-at-a-time interpreter runs exactly, including cycle
+        // counts.
         let config = FleetConfig {
             sessions: 5,
             blocks_per_session: 3,
@@ -482,7 +460,7 @@ mod tests {
             seed: 21,
         };
         let net = protected().lower().expect("lowers");
-        let a = run_fleet_on_netlist::<CompiledSim>(&net, config);
+        let a = sequential_fleet::<Simulator>(&net, config);
         let b = run_fleet_batched_opt(&net, config, &OptConfig::none());
         assert_eq!(a.sessions, b.sessions);
         assert!(b.all_verified(), "{b:?}");

@@ -30,9 +30,9 @@
 //!   ([`sim::LaneSnapshot`]), rebuilds the engine at the new width on the
 //!   same compiled tape, and restores the sessions mid-flight.
 //! * **Measured width selection** ([`tuner`]): the width chosen per batch
-//!   comes from per-width blocks/s estimates seeded from the repo's
-//!   `BENCH_sim.json` measurements and refined online (EWMA) from this
-//!   host's observed quanta. The estimates are why the farm avoids the
+//!   comes from per-width blocks/s estimates seeded from the
+//!   `width_probe` rows checked into [`tuner`] and refined online (EWMA)
+//!   from this host's observed quanta. The estimates are why the farm avoids the
 //!   W=8 batched-throughput cliff: eight waiting jobs pack into two
 //!   four-wide batches, never one eight-wide one, unless this host
 //!   actually measures W=8 faster.

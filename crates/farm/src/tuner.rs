@@ -1,18 +1,17 @@
 //! Measured per-width throughput model driving batch-width selection.
 //!
-//! The fleet's original widest-fit packing walked straight into the W=8
-//! cliff recorded in `BENCH_sim.json`'s session sweep: 8 sessions
-//! sustained ~3009 blocks/s while 4 sustained ~4085. Diagnosing that
-//! row for the farm revealed it was a *scheduling* artifact, not an
-//! engine one — widest-fit packed all 8 sessions into a single 8-wide
-//! batch pinned to one worker while the second core sat idle (fixed by
-//! the worker-count clamp in `accel::fleet::plan_batches`). At the
-//! engine level the `engine_width` rows show steady-state throughput
-//! generally *rising* with width, with a dip at W=8 under per-core
-//! contention. Either way the lesson stands: width is a *throughput*
-//! choice, not a capacity one — so the farm picks it from measured
-//! blocks/s per width, seeded from the checked-in benchmark rows and
-//! refined online as quanta complete on the actual host.
+//! The fleet's original widest-fit packing walked straight into a W=8
+//! cliff in its session sweep: 8 sessions sustained fewer blocks/s than
+//! 4. Diagnosing that for the farm revealed it was a *scheduling*
+//! artifact, not an engine one — widest-fit packed all 8 sessions into
+//! a single 8-wide batch pinned to one worker while the second core sat
+//! idle (fixed by the worker-count clamp in `accel::fleet::plan_batches`).
+//! At the engine level the per-width rows of `bench --bin width_probe`
+//! show steady-state throughput generally *rising* with width; the
+//! checked-in seeds carry a dip at W=8. Either way the lesson stands:
+//! width is a *throughput* choice, not a capacity one — so the farm
+//! picks it from measured blocks/s per width, seeded from checked-in
+//! probe rows and refined online as quanta complete on the actual host.
 //!
 //! Online refinement has a trap: a farm under load measures its sampled
 //! widths *with* contention, while unsampled widths keep their
@@ -35,11 +34,15 @@
 
 use sim::SUPPORTED_LANES;
 
-/// Seed estimates (blocks/s) from `BENCH_sim.json`'s `engine_width`
-/// rows (steady-state, one engine, precise tracking) on the 2-core
-/// recording host, one per entry of [`SUPPORTED_LANES`]. The recorded
+/// Seed estimates (blocks/s), one per entry of [`SUPPORTED_LANES`]: the
+/// one-engine rows (steady-state, precise tracking) of
+/// `cargo run --release -p bench --bin width_probe`, which prints them
+/// as this array literal, on a 2-core recording host. The recorded
 /// dip at W=8 means the tuner jumps 4 → 16 and only packs 8-wide if
-/// this host's own measurements show W=8 beating W=4.
+/// this host's own measurements show W=8 beating W=4. Later probe runs
+/// reproduce that dip only intermittently (DESIGN.md §11); re-seeding
+/// changes scheduling, so it waits for a change measured on
+/// `farm-churn`.
 const SEED_BLOCKS_PER_SEC: [f64; 5] = [15921.0, 19712.0, 24943.0, 22809.0, 35848.0];
 
 /// EWMA weight of a fresh measurement. 0.4 converges within a few quanta
@@ -73,7 +76,7 @@ impl WidthTuner {
 
     /// A tuner seeded from caller-supplied blocks/s estimates (one per
     /// [`SUPPORTED_LANES`] entry) — used when a host's own
-    /// `BENCH_sim.json` has fresher rows than the checked-in defaults.
+    /// `width_probe` run has fresher rows than the checked-in defaults.
     ///
     /// # Panics
     ///
