@@ -7,7 +7,7 @@
 //!    enables) must be proved noninterferent by self-composition at
 //!    `k ≥ 8`, under the netlist's own annotations.
 //! 2. **Ablated control** — the annotated-but-unprotected baseline must
-//!    yield SAT counterexamples on its leaky debug/config surface, each
+//!    yield counterexamples on its leaky debug/config surface, each
 //!    one replayed and confirmed on the interpreter oracle: the prover
 //!    must convict what enforcement removal re-enables, not merely fail
 //!    to prove it.
@@ -18,8 +18,9 @@
 //!    shallow budgets.
 //!
 //! Writes `PROVE_REPORT.json` with the seed first, per-observable
-//! verdicts, counterexample port programs, aggregate solver statistics
-//! and per-phase wall times (`timings_ms`), so a CI failure triages
+//! verdicts, counterexample port programs and the search that found
+//! each (`simulation` or `sat`), aggregate solver statistics and
+//! per-phase wall times (`timings_ms`), so a CI failure triages
 //! locally from the artifact alone (see the counterexample-triage
 //! walkthrough in EXPERIMENTS.md).
 //!
@@ -31,7 +32,7 @@ use std::time::Instant;
 
 use fuzz::{apply_surgery, build_design, gen_input, SurgeryOp};
 use hdl::json::Json;
-use ifc_check::prover::{prove_annotated, ObsKind, ProveOptions, ProveReport, Verdict};
+use ifc_check::prover::{prove_annotated, ObsKind, ProveOptions, ProveReport, Search, Verdict};
 
 /// The planted known-bad fuzz seed: the same annotation-spoof witness
 /// the fuzz corpus carries (`bad-spoof-submit`), so the guard and the
@@ -52,7 +53,10 @@ fn verdict_histogram(report: &ProveReport) -> String {
         }
     }
     format!(
-        "{structural} structural + {proved} solver-proved, {cex} counterexample(s), {unknown} unknown"
+        "{structural} structural + {proved} solver-proved, {cex} counterexample(s) \
+         ({} by simulation, {} by sat), {unknown} unknown",
+        report.found_by(Search::Simulation),
+        report.found_by(Search::Sat),
     )
 }
 
@@ -129,7 +133,7 @@ fn main() -> ExitCode {
 
     // Check 2: the ablated control must be convicted. The baseline's
     // leaky surface is its config/debug readback; targeting it keeps the
-    // SAT solves small without weakening the claim (a single confirmed
+    // queries small without weakening the claim (a single confirmed
     // counterexample already separates the arms).
     let control_net = match accel::baseline_annotated().lower() {
         Ok(net) => net,

@@ -13,7 +13,7 @@
 
 use std::fmt::Write as _;
 
-use ifc_check::prover::ProveOptions;
+use ifc_check::prover::{ProveOptions, Search};
 use ifc_check::{prove_findings, run_static_passes, LintConfig, PassId, Severity};
 
 /// The run completed and the report is clean.
@@ -147,8 +147,8 @@ fn run_inner(args: &[String], stdout: &mut String) -> Result<bool, CliError> {
         report.passes.push(PassId::Prove.key().to_string());
         let _ = writeln!(
             stdout,
-            "prove: {} observable(s) at k={}, {} proved, {} counterexample(s), \
-             {} conflicts",
+            "prove: {} observable(s) at k={}, {} proved, {} counterexample(s) \
+             ({} by simulation, {} by sat), {} conflicts",
             prove_report.results.len(),
             cli.prove_k,
             prove_report
@@ -157,6 +157,8 @@ fn run_inner(args: &[String], stdout: &mut String) -> Result<bool, CliError> {
                 .filter(|r| r.verdict.is_proved())
                 .count(),
             prove_report.counterexamples().len(),
+            prove_report.found_by(Search::Simulation),
+            prove_report.found_by(Search::Sat),
             prove_report.stats.conflicts
         );
         let _ = writeln!(stdout, "prove phases: {}", prove_report.timings);

@@ -20,6 +20,14 @@
 //! model that is decoded into a pair of concrete per-cycle port
 //! programs and replayed on the reference interpreter, so every
 //! reported leak ships with executable evidence.
+//!
+//! Before the miter is encoded into CNF, a bit-parallel random
+//! simulation of the AIG ([`aig::Aig::simulate`]) looks for a model
+//! directly. Every contract constraint is structural in the AIG, so any
+//! input pattern that sets the miter is a model; a hit the oracle
+//! confirms is reported without a SAT call. A miss, or a hit the oracle
+//! refutes, hands the query to the solver exactly as if the simulation
+//! had not run.
 
 pub mod aig;
 pub mod encode;
@@ -53,7 +61,7 @@ pub struct ProveOptions {
     pub induction: bool,
     /// Treat memory write enables as observables (write-traffic timing).
     pub write_enables: bool,
-    /// Replay SAT models on the interpreter oracle before reporting.
+    /// Replay models on the interpreter oracle before reporting.
     pub oracle_replay: bool,
     /// Restrict the run to observables with these names (`None`: all).
     pub targets: Option<Vec<String>>,
@@ -82,6 +90,26 @@ pub struct PortProgram {
     pub cycles: Vec<Vec<(String, Value)>>,
 }
 
+/// What found a counterexample's model.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Search {
+    /// Bit-parallel random simulation of the AIG, before any CNF.
+    Simulation,
+    /// The CDCL solver on the Tseitin-encoded miter.
+    Sat,
+}
+
+impl Search {
+    /// Stable report key.
+    #[must_use]
+    pub fn key(self) -> &'static str {
+        match self {
+            Search::Simulation => "simulation",
+            Search::Sat => "sat",
+        }
+    }
+}
+
 /// A decoded, replayed counterexample.
 #[derive(Debug, Clone)]
 pub struct Counterexample {
@@ -93,6 +121,8 @@ pub struct Counterexample {
     pub confirmed: bool,
     /// Observed values on the differing cycle during replay (A, B).
     pub observed: [Value; 2],
+    /// What found the model.
+    pub search: Search,
 }
 
 /// The prover's answer for one observable.
@@ -156,19 +186,23 @@ pub struct ObsResult {
 pub struct ProveTimings {
     /// Unrolling both rails into the AIG.
     pub encode: Duration,
+    /// Random simulation of each miter before CNF.
+    pub sim: Duration,
     /// Tseitin encoding of each miter cone into CNF.
     pub cnf: Duration,
     /// CDCL search.
     pub sat: Duration,
-    /// Decoding SAT models and replaying them on the oracle.
+    /// Decoding models (simulated or SAT) and replaying them on the
+    /// oracle.
     pub replay: Duration,
 }
 
 impl ProveTimings {
     /// The phases as `(key, duration)` pairs, in pipeline order.
-    fn phases(&self) -> [(&'static str, Duration); 4] {
+    fn phases(&self) -> [(&'static str, Duration); 5] {
         [
             ("encode", self.encode),
+            ("sim", self.sim),
             ("cnf", self.cnf),
             ("sat", self.sat),
             ("replay", self.replay),
@@ -218,8 +252,18 @@ impl ProveReport {
             .collect()
     }
 
-    /// Serialises the report (verdicts, counterexample programs, solver
-    /// stats, per-phase `timings_ms`) as a JSON object.
+    /// How many counterexamples `search` found.
+    #[must_use]
+    pub fn found_by(&self, search: Search) -> usize {
+        self.results
+            .iter()
+            .filter(|r| matches!(&r.verdict, Verdict::Counterexample(cex) if cex.search == search))
+            .count()
+    }
+
+    /// Serialises the report (verdicts, counterexample programs and the
+    /// search that found them, solver stats, per-phase `timings_ms`) as
+    /// a JSON object.
     #[must_use]
     pub fn to_json(&self) -> Json {
         // A port program: one array per cycle of `[port, value]` pairs.
@@ -254,6 +298,7 @@ impl ProveReport {
                     Verdict::Counterexample(cex) => {
                         fields.push(("cycle", Json::U64(u64::from(cex.cycle))));
                         fields.push(("confirmed", Json::Bool(cex.confirmed)));
+                        fields.push(("search", Json::Str(cex.search.key().into())));
                         fields.push((
                             "observed",
                             Json::Arr(
@@ -383,9 +428,9 @@ fn decode_programs(
     enc: &Encoder<'_>,
     net: &Netlist,
     model: &dyn Fn(u32) -> bool,
-    memo: &mut [Option<bool>],
     last: u32,
 ) -> [PortProgram; 2] {
+    let mut memo = vec![None; enc.aig.len()];
     let mut programs = [PortProgram::default(), PortProgram::default()];
     for cycle in 0..=last {
         let (pa, pb) = programs.split_at_mut(1);
@@ -401,13 +446,41 @@ fn decode_programs(
                         _ => None,
                     }
                 });
-                let value = bv.map_or(0, |bv| enc.aig.eval_bv(bv, model, memo));
+                let value = bv.map_or(0, |bv| enc.aig.eval_bv(bv, model, &mut memo));
                 drives.push((port.name.clone(), value));
             }
             program.cycles.push(drives);
         }
     }
     programs
+}
+
+/// Decodes a model of `obs`'s miter whose first true difference is on
+/// `cycle` into port programs and, with `oracle_replay`, replays them on
+/// the interpreter. Simulated and SAT models both go through here.
+fn counterexample(
+    enc: &Encoder<'_>,
+    net: &Netlist,
+    obs: &Observable,
+    opts: &ProveOptions,
+    model: &dyn Fn(u32) -> bool,
+    cycle: u32,
+    search: Search,
+) -> Counterexample {
+    let programs = decode_programs(enc, net, model, cycle);
+    let (confirmed, observed) = if opts.oracle_replay {
+        let outcome = witness::replay(net, obs, &programs);
+        (outcome.confirmed, outcome.observed)
+    } else {
+        (false, [0, 0])
+    };
+    Counterexample {
+        cycle,
+        programs,
+        confirmed,
+        observed,
+        search,
+    }
 }
 
 /// Attempts the 1-induction step for one observable: from *any* shared
@@ -513,6 +586,20 @@ fn prove_one(
             inductive,
         };
     }
+    let started = Instant::now();
+    let hit = enc.aig.simulate(&diffs);
+    timings.sim += started.elapsed();
+    if let Some((pattern, cycle)) = hit {
+        let started = Instant::now();
+        let model = |n: u32| pattern.get(n as usize) == Some(&true);
+        let cex = counterexample(&enc, net, obs, opts, &model, cycle, Search::Simulation);
+        timings.replay += started.elapsed();
+        // A refuted hit chose declassify havoc that no real run
+        // releases; the solver decides the query instead.
+        if cex.confirmed || !opts.oracle_replay {
+            return Verdict::Counterexample(Box::new(cex));
+        }
+    }
     let (map, solver, out) = solve_miter(&enc.aig, miter, opts, timings);
     stats.absorb(solver.stats());
     match out {
@@ -537,20 +624,9 @@ fn prove_one(
                 .iter()
                 .position(|&d| enc.aig.eval_lit(d, &model, &mut memo))
                 .unwrap_or(diffs.len().saturating_sub(1)) as u32;
-            let programs = decode_programs(&enc, net, &model, &mut memo, cycle);
-            let (confirmed, observed) = if opts.oracle_replay {
-                let outcome = witness::replay(net, obs, &programs);
-                (outcome.confirmed, outcome.observed)
-            } else {
-                (false, [0, 0])
-            };
+            let cex = counterexample(&enc, net, obs, opts, &model, cycle, Search::Sat);
             timings.replay += started.elapsed();
-            Verdict::Counterexample(Box::new(Counterexample {
-                cycle,
-                programs,
-                confirmed,
-                observed,
-            }))
+            Verdict::Counterexample(Box::new(cex))
         }
     }
 }

@@ -5,9 +5,11 @@
 
 use hdl::json::Json;
 use hdl::{Design, LabelExpr, ModuleBuilder};
+use ifc_check::prover::encode::Encoder;
 use ifc_check::prover::sat::SolverStats;
 use ifc_check::prover::{
-    prove, prove_annotated, InputClass, ObsKind, ProveEnv, ProveOptions, ProveReport, Verdict,
+    observables, prove, prove_annotated, Counterexample, InputClass, ObsKind, ProveEnv,
+    ProveOptions, ProveReport, Search, Verdict,
 };
 use ifc_lattice::Label;
 
@@ -259,10 +261,11 @@ fn report_json_round_trips_the_verdict_keys() {
         Ok("counterexample")
     );
     assert_eq!(result.field_as("confirmed", Json::as_bool), Ok(true));
+    assert_eq!(result.field_as("search", Json::as_str), Ok("simulation"));
     let stats = json.field("stats").unwrap();
     assert!(stats.field_as("vars", Json::as_u64).is_ok());
     let timings = json.field("timings_ms").unwrap();
-    for phase in ["encode", "cnf", "sat", "replay"] {
+    for phase in ["encode", "sim", "cnf", "sat", "replay"] {
         let ms = timings.field_as(phase, Json::as_f64).unwrap();
         assert!(ms >= 0.0, "{phase} took {ms} ms");
     }
@@ -348,6 +351,125 @@ fn protected_proof_search_is_pinned() {
             decisions: 2992,
             propagations: 40585,
             restarts: 2,
+        }
+    );
+}
+
+/// The counterexample the run reports for observable `name`.
+fn counterexample_for<'r>(report: &'r ProveReport, name: &str) -> &'r Counterexample {
+    let result = report
+        .results
+        .iter()
+        .find(|r| r.name == name)
+        .unwrap_or_else(|| panic!("no observable {name}"));
+    match &result.verdict {
+        Verdict::Counterexample(cex) => cex,
+        other => panic!("{name}: expected a counterexample, got {other:?}"),
+    }
+}
+
+/// The leaking debug-port mutants' cones (~315k AIG nodes at k=5) cost
+/// the solver 0.4–0.9 s each; random simulation finds each leak, and
+/// the oracle confirms it, before any CNF is built.
+#[test]
+fn debug_port_leaks_are_found_by_simulation() {
+    let design = accel::protected();
+    let mutants = attacks::mutate::enumerate(&design, 1);
+    for (id, port) in [
+        ("mechanism-drop/supervisor-debug", "dbg_out"),
+        ("port-label/dbg_out-drop", "dbg_out"),
+        ("port-label/dbg_out-widen-pu", "dbg_out"),
+        ("port-reroute/dbg-mirror", "dbg_mirror"),
+        ("port-reroute/dbg-unguarded", "dbg_out"),
+    ] {
+        let mutant = mutants
+            .iter()
+            .find(|m| m.id() == id)
+            .unwrap_or_else(|| panic!("catalogue has {id}"));
+        let net = lower(&mutant.apply(&design));
+        let report = prove_annotated(
+            &net,
+            &ProveOptions {
+                k: 5,
+                targets: Some(vec![port.into()]),
+                ..ProveOptions::default()
+            },
+        );
+        let cex = counterexample_for(&report, port);
+        assert!(cex.confirmed, "{id}: oracle must confirm the leak");
+        assert_eq!(cex.search, Search::Simulation, "{id}");
+        assert_eq!(report.stats, SolverStats::default(), "{id}: no SAT call");
+    }
+}
+
+/// The enforcement-ablated control's two leaks at the `prove_guard`
+/// depth, found the same way.
+#[test]
+fn ablated_control_leaks_are_found_by_simulation() {
+    let net = lower(&accel::baseline_annotated());
+    let report = prove_annotated(
+        &net,
+        &ProveOptions {
+            k: 8,
+            targets: Some(vec!["cfg_out".into(), "dbg_out".into()]),
+            ..ProveOptions::default()
+        },
+    );
+    for port in ["cfg_out", "dbg_out"] {
+        let cex = counterexample_for(&report, port);
+        assert!(cex.confirmed, "{port}: oracle must confirm the leak");
+        assert_eq!(cex.search, Search::Simulation, "{port}");
+    }
+    assert_eq!(report.stats, SolverStats::default(), "no SAT call");
+}
+
+/// `same = (declassify(s) == s)` is 1 in every real run, but the
+/// encoder releases `declassify(s)` as shared havoc, so simulation hits
+/// patterns where the two rails disagree and the oracle refutes them.
+/// The query then goes to the solver, whose search, model and verdict
+/// are exactly those of a prover without the simulation pre-pass.
+#[test]
+fn refuted_simulation_hit_falls_back_to_the_solver() {
+    let mut m = ModuleBuilder::new("release_check");
+    let s = m.input("s", 8);
+    m.set_label(s, Label::SECRET_TRUSTED);
+    let principal = m.tag_lit(Label::PUBLIC_TRUSTED);
+    let rel = m.declassify(s, Label::PUBLIC_TRUSTED, principal);
+    let same = m.eq(rel, s);
+    m.output("same", same);
+    let net = lower(&m.finish());
+
+    // Simulation does hit the per-cycle differences `prove` builds for
+    // `same`.
+    let env = ProveEnv::from_annotations(&net);
+    let obs = &observables(&net, &env, true)[0];
+    let mut enc = Encoder::new(&net, env, 1 << 20, false);
+    let diffs: Vec<_> = (0..3).map(|cycle| enc.obs_diff(cycle, obs)).collect();
+    assert!(enc.aig.simulate(&diffs).is_some());
+
+    let report = prove_annotated(&net, &opts(3));
+    let cex = counterexample_for(&report, "same");
+    assert_eq!(cex.search, Search::Sat);
+    assert!(!cex.confirmed, "the havoc model is spurious");
+    assert_eq!(cex.cycle, 0);
+    let drives: Vec<_> = cex.programs.iter().map(|p| p.cycles.clone()).collect();
+    assert_eq!(
+        drives,
+        [
+            vec![vec![("s".to_string(), 255)]],
+            vec![vec![("s".to_string(), 0)]]
+        ]
+    );
+    assert_eq!(
+        report.stats,
+        SolverStats {
+            vars: 269,
+            clauses: 591,
+            learnt: 0,
+            conflicts: 0,
+            decisions: 73,
+            propagations: 269,
+            restarts: 0,
         }
     );
 }
